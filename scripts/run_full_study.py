@@ -46,16 +46,12 @@ def run(argv=None):
     data = ds.read_csv(config.resolve(config.dataset_path))
     _, test_set = ds.split(data, config.split)
     model = sg.load(config.resolve(config.surrogate.model_file))
-    from hybridflow.loadgen import LoadSeries
-    series = LoadSeries(timestamps=test_set.timestamps,
-                        P=test_set.inputs[:, :network.n_loads],
-                        Q=test_set.inputs[:, network.n_loads:])
 
     spec = tuning.SweepSpec(parameter=tuning.ERROR_GRID,
                             values=[1e-4, 1e-3, 1e-2, 1e-1],
                             values2=[2, 6, 12, 24],
                             base_config=config.hybrid)
-    results = tuning.sweep(spec, model, network, series, config.solver,
+    results = tuning.sweep(spec, model, network, test_set.series(), config.solver,
                            jobs=args.jobs)
     tuning.write_sweep(results, config.out / "sweep_error_grid.csv")
     best = tuning.recommend(results, max_error_budget=0.01)

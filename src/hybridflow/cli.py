@@ -5,12 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import dataset as ds
 from . import hybrid, loadgen, report, surrogate as sg, tuning
 from .config import ConfigError, RunConfig, load_config
-from .solver import SOLVER, solve_newton_raphson
+from .solver import SOLVER
 
 
 def _progress(message: str) -> None:
@@ -23,29 +21,8 @@ def cmd_generate(config: RunConfig) -> None:
         raise ConfigError("generate requires a load_spec section")
     network = config.load_network()
     series = loadgen.generate(config.load_spec, network)
-    steps_per_day = 1440 // config.load_spec.resolution_minutes
-
-    solutions = []
-    guess = None
-    for t in range(series.n_steps):
-        sol = solve_newton_raphson(network, series.P[t], series.Q[t],
-                                   guess if config.solver.warm_start else None,
-                                   config.solver)
-        if not sol.converged:
-            raise loadgen.GenerationError(
-                f"load at {series.timestamps[t]} (row {t}) does not converge")
-        solutions.append(sol)
-        guess = sol
-        if (t + 1) % steps_per_day == 0:
-            _progress(f"generate: day {(t + 1) // steps_per_day}"
-                      f"/{config.load_spec.duration_days} solved")
-
-    data = ds.Dataset(
-        timestamps=series.timestamps,
-        inputs=np.hstack([series.P, series.Q]),
-        outputs_v=np.array([s.v for s in solutions]),
-        outputs_a=np.array([s.a for s in solutions]),
-    )
+    solutions = hybrid.run_pure_solver(network, series, config.solver)
+    data = ds.Dataset.from_solutions(series, solutions)
     out_path = config.resolve(config.dataset_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     ds.write_csv(data, out_path)
@@ -65,58 +42,45 @@ def cmd_train(config: RunConfig) -> None:
     _progress(f"train: {model.method} n_c={model.n_c} model written to {model_path}")
 
 
-def _test_series(config: RunConfig) -> tuple[ds.Dataset, loadgen.LoadSeries]:
+def _test_set(config: RunConfig) -> ds.Dataset:
     data = ds.read_csv(config.resolve(config.dataset_path))
-    _, test_set = ds.split(data, config.split)
-    n_p = test_set.n_loads
-    series = loadgen.LoadSeries(timestamps=test_set.timestamps,
-                                P=test_set.inputs[:, :n_p],
-                                Q=test_set.inputs[:, n_p:])
-    return test_set, series
-
-
-def _write_solutions(solutions, timestamps, series, out_path) -> None:
-    data = ds.Dataset(timestamps=timestamps,
-                      inputs=np.hstack([series.P, series.Q]),
-                      outputs_v=np.array([s.v for s in solutions]),
-                      outputs_a=np.array([s.a for s in solutions]))
-    ds.write_csv(data, out_path)
+    return ds.split(data, config.split)[1]
 
 
 def cmd_simulate(config: RunConfig, pure_solver: bool = False) -> None:
     network = config.load_network()
-    test_set, series = _test_series(config)
+    test_set = _test_set(config)
+    series = test_set.series()
     out = config.out
 
     if pure_solver:
         solutions = hybrid.run_pure_solver(network, series, config.solver)
-        records = [hybrid.StepRecord(timestamp=series.timestamps[t], decision=SOLVER,
-                                     triggering_check="forced_first" if t == 0 else "error_stale",
-                                     model_eps_inf_vs_truth=None,
+        # every step is solved and no gate runs, so no check triggered one
+        records = [hybrid.StepRecord(timestamp=stamp, decision=SOLVER,
+                                     triggering_check=None,
                                      solver_iterations=s.iterations,
                                      wall_time=s.wall_time)
-                   for t, s in enumerate(solutions)]
-        _write_solutions(solutions, series.timestamps, series, out / "solutions.csv")
-        hybrid.write_records(records, out / "records.csv")
-        _progress(f"simulate: pure solver, {len(solutions)} steps -> {out}")
-        return
-
-    model = sg.load(config.resolve(config.surrogate.model_file))
-    truth = (test_set.outputs_v, test_set.outputs_a)
-    solutions, records, summary = hybrid.run_series(model, network, series,
-                                                    config.hybrid, config.solver,
-                                                    ground_truth=truth)
-    _write_solutions(solutions, series.timestamps, series, out / "solutions.csv")
+                   for stamp, s in zip(series.timestamps, solutions)]
+    else:
+        model = sg.load(config.resolve(config.surrogate.model_file))
+        truth = (test_set.outputs_v, test_set.outputs_a)
+        solutions, records, summary = hybrid.run_series(model, network, series,
+                                                        config.hybrid, config.solver,
+                                                        ground_truth=truth)
+    ds.write_csv(ds.Dataset.from_solutions(series, solutions), out / "solutions.csv")
     hybrid.write_records(records, out / "records.csv")
-    report.write_summary(summary, out / "summary.json")
-    print(report.format_summary(summary))
+    if pure_solver:
+        _progress(f"simulate: pure solver, {len(solutions)} steps -> {out}")
+    else:
+        report.write_summary(summary, out / "summary.json")
+        print(report.format_summary(summary))
 
 
 def cmd_tune(config: RunConfig, parameter: str, values: list[float],
              values2: list[float] | None, calibration_days: tuple[int, int],
              jobs: int) -> None:
     network = config.load_network()
-    _, series = _test_series(config)
+    series = _test_set(config).series()
     model = sg.load(config.resolve(config.surrogate.model_file))
     spec = tuning.SweepSpec(parameter=parameter, values=values, values2=values2,
                             calibration_days=calibration_days,
@@ -195,8 +159,7 @@ def main(argv=None) -> int:
         elif args.command == "report":
             cmd_report(config, args.records, args.bin_width, args.clip)
     except (ConfigError, ds.DatasetError, tuning.TuningError, sg.SurrogateError,
-            loadgen.LoadSpecError, loadgen.GenerationError,
-            hybrid.SimulationError, FileNotFoundError) as exc:
+            loadgen.LoadSpecError, hybrid.SimulationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,7 +6,7 @@ randomness is funneled through the seeds declared here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -71,12 +71,19 @@ def load_bundled_or_path(path) -> Network:
     raise ConfigError(f"network file not found: {path}")
 
 
-def _section(raw: dict, key: str) -> dict:
+def _section(raw: dict, key: str, schema=None) -> dict:
+    """The mapping under `key`; with a dataclass `schema`, only its field
+    names are accepted, so a removed or misspelt key is not ignored."""
     value = raw.get(key, {})
     if value is None:
         value = {}
     if not isinstance(value, dict):
         raise ConfigError(f"section {key!r} must be a mapping")
+    if schema is not None:
+        unknown = set(value) - {f.name for f in fields(schema)}
+        if unknown:
+            raise ConfigError(f"unknown key in section {key!r}: "
+                              f"{', '.join(sorted(map(str, unknown)))}")
     return value
 
 
@@ -122,24 +129,22 @@ def load_config(path, seed_override: int | None = None,
         model_file=str(sg.get("model_file", "surrogate.json")),
     )
 
-    hy = _section(raw, "hybrid")
+    hy = _section(raw, "hybrid", HybridConfig)
     dpt = hy.get("distance_percentile_threshold", None)
+    sct = hy.get("step_change_threshold", 0.20)
     hybrid = HybridConfig(
         error_check_threshold=float(hy.get("error_check_threshold", 0.01)),
         max_check_interval=int(hy.get("max_check_interval", 12)),
         distance_percentile_threshold=(None if dpt is None else float(dpt)),
-        step_change_threshold=float(hy.get("step_change_threshold", 0.20)),
+        step_change_threshold=(None if sct is None else float(sct)),
         error_check_enabled=bool(hy.get("error_check_enabled", True)),
-        distance_check_enabled=bool(hy.get("distance_check_enabled", dpt is not None)),
-        step_change_enabled=bool(hy.get("step_change_enabled", True)),
     )
 
-    so = _section(raw, "solver")
+    so = _section(raw, "solver", SolverSettings)
     solver = SolverSettings(
         mismatch_tolerance=float(so.get("mismatch_tolerance", 1e-8)),
         max_iterations=int(so.get("max_iterations", 50)),
         warm_start=bool(so.get("warm_start", True)),
-        gs_max_iterations=int(so.get("gs_max_iterations", 20000)),
     )
 
     dataset_path = str(raw.get("dataset", "dataset.csv"))

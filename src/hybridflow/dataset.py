@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .loadgen import LoadSeries
+
 
 class DatasetError(ValueError):
     """Raised for malformed dataset files or invalid split specs."""
@@ -71,6 +73,20 @@ class Dataset:
     def rows(self, lo: int, hi: int) -> "Dataset":
         return Dataset(self.timestamps[lo:hi], self.inputs[lo:hi],
                        self.outputs_v[lo:hi], self.outputs_a[lo:hi])
+
+    def series(self) -> LoadSeries:
+        """The load columns as a LoadSeries (views, not copies)."""
+        n_p = self.n_loads
+        return LoadSeries(timestamps=self.timestamps, P=self.inputs[:, :n_p],
+                          Q=self.inputs[:, n_p:])
+
+    @classmethod
+    def from_solutions(cls, series: LoadSeries, solutions) -> "Dataset":
+        """Loads plus the solved voltage magnitude and angle of each step."""
+        return cls(timestamps=series.timestamps,
+                   inputs=np.hstack([series.P, series.Q]),
+                   outputs_v=np.array([s.v for s in solutions]),
+                   outputs_a=np.array([s.a for s in solutions]))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import csv
 import gc
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +39,16 @@ class SimulationError(RuntimeError):
 class HybridConfig:
     error_check_threshold: float = 0.01
     max_check_interval: int = 12            # steps; 60 min at 5-min resolution
-    distance_percentile_threshold: float | None = 95.0
-    step_change_threshold: float = 0.20
+    # None switches a check off; distance is off by default: adds cost, rarely fires
+    distance_percentile_threshold: float | None = None
+    step_change_threshold: float | None = 0.20
     error_check_enabled: bool = True
-    distance_check_enabled: bool = False    # off by default: adds cost, rarely fires
-    step_change_enabled: bool = True
 
     def __post_init__(self):
         if self.max_check_interval < 1:
             raise ValueError("max_check_interval must be >= 1")
         if self.error_check_enabled and self.error_check_threshold < 0:
             raise ValueError("error_check_threshold must be >= 0")
-        if self.distance_check_enabled and self.distance_percentile_threshold is None:
-            raise ValueError("distance check enabled but no percentile threshold set")
 
 
 @dataclass
@@ -71,10 +68,6 @@ class StepRecord:
     wall_time: float = 0.0
 
 
-def init_state() -> HybridState:
-    return HybridState()
-
-
 def step(state: HybridState, surrogate: sg.ClusteredSurrogate, network: Network,
          p_t: np.ndarray, q_t: np.ndarray, config: HybridConfig,
          settings: SolverSettings,
@@ -82,8 +75,10 @@ def step(state: HybridState, surrogate: sg.ClusteredSurrogate, network: Network,
          ) -> tuple[VoltageSolution, StepRecord, HybridState]:
     """One timestep: gate evaluation, then model acceptance or a solve.
 
-    Gate order (attribution only; the model/solver decision is the same
-    under any order): distance, step change, staleness, stored error.
+    Updates `state` in place and returns it with the accepted solution
+    and the step's record. Gate order (attribution only; the model/solver
+    decision is the same under any order): distance, step change,
+    staleness, stored error.
     """
     start = time.perf_counter()
     x = np.concatenate([p_t, q_t])
@@ -94,10 +89,10 @@ def step(state: HybridState, surrogate: sg.ClusteredSurrogate, network: Network,
         trigger = FORCED_FIRST
     else:
         last = state.last_accepted
-        if (trigger is None and config.distance_check_enabled
+        if (trigger is None and config.distance_percentile_threshold is not None
                 and assignment.distance_percentile >= config.distance_percentile_threshold):
             trigger = DISTANCE
-        if (trigger is None and config.step_change_enabled
+        if (trigger is None and config.step_change_threshold is not None
                 and eps_inf(pred_v, pred_a, last.v, last.a) >= config.step_change_threshold):
             trigger = STEP_CHANGE
         if (trigger is None and config.error_check_enabled
@@ -113,24 +108,20 @@ def step(state: HybridState, surrogate: sg.ClusteredSurrogate, network: Network,
         if not solution.converged:
             raise SimulationError(f"solver did not converge at {timestamp} "
                                   f"(max {settings.max_iterations} iterations)")
-        model_error = eps_inf(pred_v, pred_a, solution.v, solution.a)
-        new_state = HybridState(last_accepted=solution,
-                                last_observed_model_error=model_error,
-                                steps_since_check=0)
+        state.last_observed_model_error = eps_inf(pred_v, pred_a, solution.v, solution.a)
+        state.steps_since_check = 0
         record = StepRecord(timestamp=timestamp, decision=SOLVER,
                             triggering_check=trigger,
                             solver_iterations=solution.iterations,
                             wall_time=time.perf_counter() - start)
-        return solution, record, new_state
-
-    solution = VoltageSolution(v=pred_v, a=pred_a, iterations=0, provenance=MODEL,
-                               converged=True)
-    new_state = HybridState(last_accepted=solution,
-                            last_observed_model_error=state.last_observed_model_error,
-                            steps_since_check=state.steps_since_check + 1)
-    record = StepRecord(timestamp=timestamp, decision=MODEL, triggering_check=None,
-                        wall_time=time.perf_counter() - start)
-    return solution, record, new_state
+    else:
+        solution = VoltageSolution(v=pred_v, a=pred_a, iterations=0, provenance=MODEL,
+                                   converged=True)
+        state.steps_since_check += 1
+        record = StepRecord(timestamp=timestamp, decision=MODEL, triggering_check=None,
+                            wall_time=time.perf_counter() - start)
+    state.last_accepted = solution
+    return solution, record, state
 
 
 def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
@@ -145,7 +136,7 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
     """
     from .report import summarize  # local import to avoid a cycle
 
-    state = init_state()
+    state = HybridState()
     solutions = []
     records = []
     # the loop allocates no reference cycles; pausing the cyclic
@@ -176,15 +167,14 @@ def run_pure_solver(network: Network, load_series: LoadSeries,
     """Ground-truth replay: solve every timestep, warm-starting from the
     previous solution (flat start on the first)."""
     solutions = []
-    guess = None
     for t in range(load_series.n_steps):
+        guess = solutions[-1] if solutions and settings.warm_start else None
         sol = solve_newton_raphson(network, load_series.P[t], load_series.Q[t],
-                                   guess if settings.warm_start else None, settings)
+                                   guess, settings)
         if not sol.converged:
             raise SimulationError(f"solver did not converge at "
-                                  f"{load_series.timestamps[t]}")
+                                  f"{load_series.timestamps[t]} (row {t})")
         solutions.append(sol)
-        guess = sol
     return solutions
 
 

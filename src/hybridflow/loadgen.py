@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .netmodel import Network
-from .solver import SolverSettings, solve_newton_raphson
 
 WEEKDAYS = (0, 1, 2, 3, 4)
 WEEKEND = (5, 6)
@@ -28,10 +27,6 @@ DEFAULT_START = np.datetime64("2024-01-01T00:00:00")
 
 class LoadSpecError(ValueError):
     """Raised for invalid load profile specifications."""
-
-
-class GenerationError(RuntimeError):
-    """Raised when generated loads are infeasible on the target network."""
 
 
 @dataclass(frozen=True)
@@ -130,12 +125,11 @@ def mode_labels(spec: LoadProfileSpec, timestamps: np.ndarray) -> np.ndarray:
     return mode_table(spec)[minute_of_week(timestamps)]
 
 
-def generate(spec: LoadProfileSpec, network: Network | None = None,
-             check_feasibility: bool = False) -> LoadSeries:
+def generate(spec: LoadProfileSpec, network: Network | None = None) -> LoadSeries:
     """Generate a deterministic (seeded) load series for the spec.
 
-    With check_feasibility, every timestamp is solved with the NR solver
-    on `network` and the first non-convergent timestamp raises.
+    With `network`, the load count must match its load-attached buses;
+    `hybrid.run_pure_solver` checks that every timestamp is feasible.
     """
     validate_spec(spec)
     if network is not None and spec.n_loads != network.n_loads:
@@ -172,19 +166,7 @@ def generate(spec: LoadProfileSpec, network: Network | None = None,
     np.clip(P, 0.0, None, out=P)
     Q = P * tan_phi[None, :]
 
-    series = LoadSeries(timestamps=timestamps, P=P, Q=Q)
-    if check_feasibility:
-        if network is None:
-            raise LoadSpecError("check_feasibility requires a network")
-        settings = SolverSettings()
-        guess = None
-        for t in range(n_steps):
-            sol = solve_newton_raphson(network, P[t], Q[t], guess, settings)
-            if not sol.converged:
-                raise GenerationError(f"load at timestamp {timestamps[t]} "
-                                      f"(row {t}) does not converge")
-            guess = sol
-    return series
+    return LoadSeries(timestamps=timestamps, P=P, Q=Q)
 
 
 def scaled_spec(spec: LoadProfileSpec, factor: float) -> LoadProfileSpec:

@@ -1,4 +1,4 @@
-"""Power flow solvers: Newton-Raphson (primary) and Gauss-Seidel (oracle).
+"""Polar Newton-Raphson power flow solver.
 
 Loads are given as positive consumption (p, q) on the load-attached
 buses; injections are negated internally. Voltages are solved at every
@@ -31,8 +31,6 @@ class SolverSettings:
     mismatch_tolerance: float = 1e-8
     max_iterations: int = 50
     warm_start: bool = True
-    gs_max_iterations: int = 20000
-    gs_acceleration: float = 1.6  # SOR factor; 1.0 recovers plain Gauss-Seidel
 
     def __post_init__(self):
         if self.mismatch_tolerance <= 0:
@@ -137,37 +135,3 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
     return VoltageSolution(v=v, a=a, iterations=settings.max_iterations,
                            provenance=SOLVER, converged=False,
                            wall_time=time.perf_counter() - start)
-
-
-def solve_gauss_seidel(network: Network, p: np.ndarray, q: np.ndarray,
-                       settings: SolverSettings | None = None) -> VoltageSolution:
-    """Complex-voltage Gauss-Seidel sweep; slow but structurally independent
-    of the Newton path, used for cross-verification."""
-    settings = settings or SolverSettings()
-    start = time.perf_counter()
-    n = network.n_bus
-    slack = network.slack_index
-    pq = network.pq_indices
-    p_inj, q_inj = injections(network, p, q)
-    S_inj = p_inj + 1j * q_inj
-
-    Y = network.Y
-    V = np.ones(n, dtype=complex)
-    inv_diag = 1.0 / np.diag(Y)
-
-    accel = settings.gs_acceleration
-    for sweep in range(1, settings.gs_max_iterations + 1):
-        for i in pq:
-            sigma = Y[i] @ V - Y[i, i] * V[i]
-            update = inv_diag[i] * (np.conj(S_inj[i] / V[i]) - sigma)
-            V[i] += accel * (update - V[i])
-        S = V * np.conj(Y @ V)
-        residual = np.concatenate([p_inj[pq] - S.real[pq], q_inj[pq] - S.imag[pq]])
-        if np.max(np.abs(residual)) <= settings.mismatch_tolerance:
-            V[slack] = 1.0
-            return VoltageSolution(v=np.abs(V), a=np.angle(V), iterations=sweep,
-                                   provenance=SOLVER, converged=True,
-                                   wall_time=time.perf_counter() - start)
-    return VoltageSolution(v=np.abs(V), a=np.angle(V),
-                           iterations=settings.gs_max_iterations, provenance=SOLVER,
-                           converged=False, wall_time=time.perf_counter() - start)

@@ -65,10 +65,9 @@ class SweepPoint:
 def config_for(spec: SweepSpec, value: float, value2: float | None = None) -> HybridConfig:
     base = spec.base_config
     if spec.parameter == DISTANCE_PERCENTILE:
-        return replace(base, distance_check_enabled=True,
-                       distance_percentile_threshold=value)
+        return replace(base, distance_percentile_threshold=value)
     if spec.parameter == STEP_CHANGE:
-        return replace(base, step_change_enabled=True, step_change_threshold=value)
+        return replace(base, step_change_threshold=value)
     if spec.parameter == ERROR_THRESHOLD:
         return replace(base, error_check_enabled=True, error_check_threshold=value)
     if spec.parameter == ERROR_GRID:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hybridflow import dataset as ds
@@ -37,26 +36,4 @@ def small_series(small_spec, feeder30):
 @pytest.fixture(scope="session")
 def small_dataset(small_series, feeder30, settings):
     solutions = hybrid.run_pure_solver(feeder30, small_series, settings)
-    return ds.Dataset(
-        timestamps=small_series.timestamps,
-        inputs=np.hstack([small_series.P, small_series.Q]),
-        outputs_v=np.array([s.v for s in solutions]),
-        outputs_a=np.array([s.a for s in solutions]),
-    )
-
-
-def make_dataset(series, network, settings=None):
-    settings = settings or SolverSettings()
-    solutions = hybrid.run_pure_solver(network, series, settings)
-    return ds.Dataset(
-        timestamps=series.timestamps,
-        inputs=np.hstack([series.P, series.Q]),
-        outputs_v=np.array([s.v for s in solutions]),
-        outputs_a=np.array([s.a for s in solutions]),
-    )
-
-
-def series_from_dataset(data):
-    n_p = data.n_loads
-    return loadgen.LoadSeries(timestamps=data.timestamps,
-                              P=data.inputs[:, :n_p], Q=data.inputs[:, n_p:])
+    return ds.Dataset.from_solutions(small_series, solutions)

@@ -16,8 +16,8 @@ from hybridflow.config import load_bundled_or_path
 from hybridflow.hybrid import HybridConfig, run_pure_solver, run_series
 from hybridflow.metrics import vector_error
 from hybridflow.solver import (SOLVER, SolverSettings, power_mismatch,
-                               solve_gauss_seidel, solve_newton_raphson)
-from tests.conftest import series_from_dataset
+                               solve_newton_raphson)
+from tests.oracles import solve_gauss_seidel
 from tests.test_hybrid import constant_series, perfect_surrogate
 
 STUDY_CONFIG = """\
@@ -174,7 +174,7 @@ def test_criterion_4_metric_examples():
 
 
 def test_criterion_5_degenerate_equivalences(net4, feeder30, small_dataset, settings):
-    test_series = series_from_dataset(small_dataset.rows(0, 96))
+    test_series = small_dataset.rows(0, 96).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     config = HybridConfig(step_change_threshold=0.0)
     solutions, records, _ = run_series(model, feeder30, test_series, config, settings)
@@ -214,7 +214,7 @@ def test_criterion_6_full_study(full_study):
 
 def test_criterion_7_tuning_monotonicity(full_study_parts, settings):
     network, model, _, test_set = full_study_parts
-    series = series_from_dataset(test_set)
+    series = test_set.series()
     grids = [
         (tuning.ERROR_THRESHOLD, [1e-9, 1e-7, 1e-5, 1e-3, 1e-1], None),
         (tuning.ERROR_GRID, [1e-5], [2, 4, 8, 16, 32]),

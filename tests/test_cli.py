@@ -6,6 +6,8 @@ import pytest
 from hybridflow import dataset as ds
 from hybridflow import surrogate as sg
 from hybridflow.cli import main
+from hybridflow.config import ConfigError, load_config
+from hybridflow.hybrid import read_records
 
 CONFIG_TEMPLATE = """\
 network: feeder30
@@ -105,6 +107,40 @@ def test_simulate_pure_solver_deterministic(workdir, tmp_path):
     assert (out1 / "solutions.csv").read_bytes() == (out2 / "solutions.csv").read_bytes()
 
 
+def test_pure_solver_records_name_no_check(workdir, tmp_path):
+    # no gate runs when every step is solved, so no row names one
+    config = workdir / "run.yaml"
+    assert main(["--config", str(config), "--out", str(tmp_path),
+                 "simulate", "--pure-solver"]) == 0
+    records = read_records(tmp_path / "records.csv")
+    assert len(records) == 2 * 48
+    assert all(r.decision == "solver" for r in records)
+    assert all(r.triggering_check is None for r in records)
+
+
+def test_generate_infeasible_load_is_one_line_error(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out").replace(
+        "duration_days: 6", "duration_days: 1\n  base_level: 20.0"))
+    assert main(["--config", str(config), "generate"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "(row 0)" in lines[0]
+
+
+@pytest.mark.parametrize("anchor, key", [
+    ("  step_change_threshold: 0.20\n", "step_change_enabled"),
+    ("  mismatch_tolerance: 1.0e-8\n", "gs_max_iterations"),
+], ids=["hybrid", "solver"])
+def test_unknown_config_key_is_error(tmp_path, anchor, key):
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out").replace(
+        anchor, f"{anchor}  {key}: false\n"))
+    with pytest.raises(ConfigError, match=f"unknown key .*: {key}$"):
+        load_config(config)
+
+
 def test_tune_single_point(workdir):
     config = workdir / "run.yaml"
     assert main(["--config", str(config), "tune", "--parameter", "step_change",
@@ -142,7 +178,6 @@ def test_missing_network_is_error(tmp_path):
 def test_bundled_example_config_parses():
     from pathlib import Path
 
-    from hybridflow.config import load_config
     path = Path(__file__).resolve().parents[1] / "configs" / "full_study.yaml"
     config = load_config(path)
     assert config.load_spec.duration_days == 28

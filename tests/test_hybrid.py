@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from hybridflow import surrogate as sg
-from hybridflow.dataset import Dataset
-from hybridflow.hybrid import (HybridConfig, SimulationError, StepRecord,
-                               init_state, read_records, run_pure_solver,
-                               run_series, step, write_records)
+from hybridflow.hybrid import (HybridConfig, HybridState, SimulationError,
+                               read_records, run_pure_solver, run_series, step,
+                               write_records)
 from hybridflow.loadgen import LoadSeries
 from hybridflow.metrics import eps_inf
-from hybridflow.solver import MODEL, SOLVER, SolverSettings
-from tests.conftest import make_dataset, series_from_dataset
+from hybridflow.solver import MODEL, SOLVER
 
 
 def constant_series(network, level=0.01, T=64):
@@ -40,7 +38,7 @@ def perfect_surrogate(network, settings, level=0.01):
 def test_first_step_forces_solver(net4, settings):
     model = perfect_surrogate(net4, settings)
     series = constant_series(net4, T=4)
-    state = init_state()
+    state = HybridState()
     solution, record, state = step(state, model, net4, series.P[0], series.Q[0],
                                    HybridConfig(), settings,
                                    timestamp=series.timestamps[0])
@@ -67,7 +65,7 @@ def test_perfect_model_accepts_all_non_forced_steps(net4, settings):
 
 
 def test_step_change_zero_bit_identical_to_pure_solver(feeder30, small_dataset, settings):
-    test_series = series_from_dataset(small_dataset.rows(0, 100))
+    test_series = small_dataset.rows(0, 100).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     config = HybridConfig(step_change_threshold=0.0)
     solutions, records, _ = run_series(model, feeder30, test_series, config, settings)
@@ -81,29 +79,28 @@ def test_step_change_zero_bit_identical_to_pure_solver(feeder30, small_dataset, 
 @pytest.mark.parametrize("degenerate", ["error", "distance"])
 def test_other_degenerate_gates_reduce_to_pure_solver(degenerate, feeder30,
                                                       small_dataset, settings):
-    test_series = series_from_dataset(small_dataset.rows(0, 50))
+    test_series = small_dataset.rows(0, 50).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     if degenerate == "error":
         config = HybridConfig(error_check_threshold=0.0)
     else:
-        config = HybridConfig(distance_check_enabled=True,
-                              distance_percentile_threshold=0.0)
+        config = HybridConfig(distance_percentile_threshold=0.0)
     _, records, _ = run_series(model, feeder30, test_series, config, settings)
     assert all(r.decision == SOLVER for r in records)
 
 
 def test_all_checks_disabled_model_always_used(feeder30, small_dataset, settings):
-    test_series = series_from_dataset(small_dataset.rows(0, 40))
+    test_series = small_dataset.rows(0, 40).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
-    config = HybridConfig(error_check_enabled=False, step_change_enabled=False,
-                          distance_check_enabled=False)
+    config = HybridConfig(error_check_enabled=False, step_change_threshold=None,
+                          distance_percentile_threshold=None)
     _, records, summary = run_series(model, feeder30, test_series, config, settings)
     T = len(records)
     assert summary.avoided_solves_fraction == (T - 1) / T
 
 
 def test_safety_floor_solver_calls(feeder30, small_dataset, settings):
-    test_series = series_from_dataset(small_dataset.rows(0, 97))
+    test_series = small_dataset.rows(0, 97).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     config = HybridConfig(max_check_interval=10)
     _, records, _ = run_series(model, feeder30, test_series, config, settings)
@@ -122,11 +119,10 @@ def test_safety_floor_solver_calls(feeder30, small_dataset, settings):
 def test_gate_soundness_replay(feeder30, small_dataset, settings):
     """Model decisions iff every enabled gate quantity was within threshold,
     replayed from the accepted-output stream (implies gate-order independence)."""
-    test_series = series_from_dataset(small_dataset.rows(0, 120))
+    test_series = small_dataset.rows(0, 120).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     config = HybridConfig(max_check_interval=8, error_check_threshold=1e-4,
                           step_change_threshold=0.01,
-                          distance_check_enabled=True,
                           distance_percentile_threshold=99.0)
     solutions, records, _ = run_series(model, feeder30, test_series, config, settings)
     assert {r.decision for r in records} == {MODEL, SOLVER}
@@ -165,7 +161,7 @@ def test_solver_failure_propagates(net4, settings):
 
 
 def test_run_series_deterministic(feeder30, small_dataset, settings):
-    test_series = series_from_dataset(small_dataset.rows(0, 80))
+    test_series = small_dataset.rows(0, 80).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     truth = (small_dataset.outputs_v[:80], small_dataset.outputs_a[:80])
     _, r1, _ = run_series(model, feeder30, test_series, HybridConfig(), settings,
@@ -177,7 +173,7 @@ def test_run_series_deterministic(feeder30, small_dataset, settings):
 
 
 def test_records_csv_round_trip(tmp_path, feeder30, small_dataset, settings):
-    test_series = series_from_dataset(small_dataset.rows(0, 40))
+    test_series = small_dataset.rows(0, 40).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     truth = (small_dataset.outputs_v[:40], small_dataset.outputs_a[:40])
     _, records, _ = run_series(model, feeder30, test_series, HybridConfig(),

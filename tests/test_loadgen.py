@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hybridflow import loadgen
-from hybridflow.loadgen import (GenerationError, LoadProfileSpec, LoadSpecError,
-                                ModeSpec, default_modes, generate, mode_labels,
+from hybridflow.hybrid import SimulationError, run_pure_solver
+from hybridflow.loadgen import (LoadProfileSpec, LoadSpecError, ModeSpec,
+                                default_modes, generate, mode_labels,
                                 scaled_spec, validate_spec)
+from hybridflow.solver import SolverSettings
 from hybridflow.surrogate import kmeans
 
 
@@ -101,15 +103,16 @@ def test_mismatched_network_load_count(net4):
 def test_feasibility_check_flags_timestamp(net4):
     spec = scaled_spec(LoadProfileSpec(n_loads=net4.n_loads, duration_days=1, seed=2),
                        factor=2000.0)
-    with pytest.raises(GenerationError, match="row"):
-        generate(spec, net4, check_feasibility=True)
+    with pytest.raises(SimulationError, match="row"):
+        run_pure_solver(net4, generate(spec, net4), SolverSettings())
 
 
 def test_feasible_spec_passes_check(net4):
     spec = LoadProfileSpec(n_loads=net4.n_loads, duration_days=1, seed=2,
                            resolution_minutes=60)
-    series = generate(spec, net4, check_feasibility=True)
-    assert series.n_steps == 24
+    solutions = run_pure_solver(net4, generate(spec, net4), SolverSettings())
+    assert len(solutions) == 24
+    assert all(s.converged for s in solutions)
 
 
 def test_minute_of_week_monday_start():

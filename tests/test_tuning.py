@@ -7,7 +7,6 @@ from hybridflow.report import step_errors
 from hybridflow.tuning import (ERROR_GRID, ERROR_THRESHOLD, STEP_CHANGE,
                                SweepSpec, TuningError, config_for, recommend,
                                sweep, write_sweep)
-from tests.conftest import series_from_dataset
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +38,10 @@ def test_2d_sweep_needs_second_grid():
 
 def test_single_point_equals_direct_run(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.05])
-    results = sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
     assert len(results) == 1
 
-    series = series_from_dataset(test_slice.rows(0, test_slice.steps_per_day))
+    series = test_slice.rows(0, test_slice.steps_per_day).series()
     config = config_for(spec, 0.05)
     truth = (test_slice.outputs_v[:series.n_steps], test_slice.outputs_a[:series.n_steps])
     _, records, summary = run_series(trained, feeder30, series, config, settings,
@@ -56,7 +55,7 @@ def test_single_point_equals_direct_run(trained, feeder30, test_slice, settings)
 
 def test_step_change_zero_grid_point(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.0, 0.5])
-    results = sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
     zero = results[0]
     assert zero.model_fraction == 0.0
     assert zero.max_eps == 0.0
@@ -64,7 +63,7 @@ def test_step_change_zero_grid_point(trained, feeder30, test_slice, settings):
 
 def test_quantiles_ordered(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_THRESHOLD, values=[1e-6, 1e-4, 1e-2])
-    results = sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
     for r in results:
         assert r.q25 <= r.q50 <= r.q75 <= r.max_eps
         assert 0.0 <= r.model_fraction <= 1.0
@@ -73,7 +72,7 @@ def test_quantiles_ordered(trained, feeder30, test_slice, settings):
 def test_2d_grid_monotone(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_GRID, values=[1e-7, 1e-4, 1e-1],
                      values2=[4, 8, 16])
-    results = sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
     frac = {(r.value, r.value2): r.model_fraction for r in results}
     for v2 in spec.values2:
         fractions = [frac[(v, v2)] for v in spec.values]
@@ -85,7 +84,7 @@ def test_2d_grid_monotone(trained, feeder30, test_slice, settings):
 
 def test_sweep_deterministic(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.01, 0.2])
-    series = series_from_dataset(test_slice)
+    series = test_slice.series()
     r1 = sweep(spec, trained, feeder30, series, settings)
     r2 = sweep(spec, trained, feeder30, series, settings)
     assert [(a.q50, a.max_eps, a.model_fraction) for a in r1] \
@@ -94,7 +93,7 @@ def test_sweep_deterministic(trained, feeder30, test_slice, settings):
 
 def test_sweep_parallel_matches_serial(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.05, 0.2])
-    series = series_from_dataset(test_slice)
+    series = test_slice.series()
     serial = sweep(spec, trained, feeder30, series, settings, jobs=1)
     parallel = sweep(spec, trained, feeder30, series, settings, jobs=2)
     assert [(a.value, a.q50, a.model_fraction) for a in serial] \
@@ -103,7 +102,7 @@ def test_sweep_parallel_matches_serial(trained, feeder30, test_slice, settings):
 
 def test_recommend_picks_highest_model_use(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_THRESHOLD, values=[1e-7, 1e-4, 1e-2])
-    results = sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
     best = recommend(results, max_error_budget=1.0)
     assert best is not None
     assert best.model_fraction == max(r.model_fraction for r in results)
@@ -112,13 +111,13 @@ def test_recommend_picks_highest_model_use(trained, feeder30, test_slice, settin
 
 def test_recommend_infeasible_budget(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_THRESHOLD, values=[1e-2])
-    results = sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
     assert recommend(results, max_error_budget=0.0) is None
 
 
 def test_recommend_never_violates_budget(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.0, 0.01, 0.2])
-    results = sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
     budget = np.median([r.max_eps for r in results])
     best = recommend(results, budget)
     if best is not None:
@@ -128,12 +127,12 @@ def test_recommend_never_violates_budget(trained, feeder30, test_slice, settings
 def test_calibration_slice_out_of_range(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.1], calibration_days=(0, 99))
     with pytest.raises(TuningError, match="outside"):
-        sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+        sweep(spec, trained, feeder30, test_slice.series(), settings)
 
 
 def test_write_sweep_csv(tmp_path, trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.05, 0.2])
-    results = sweep(spec, trained, feeder30, series_from_dataset(test_slice), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
     path = tmp_path / "sweep.csv"
     write_sweep(results, path)
     lines = path.read_text().strip().splitlines()
