@@ -122,6 +122,16 @@ def _format(x: float) -> str:
     return f"{x:.17g}"
 
 
+def format_timestamp(t: np.datetime64) -> str:
+    """ISO-8601 UTC to the second, as written in every CSV: 2024-01-01T00:05:00Z."""
+    return np.datetime_as_string(t, unit="s") + "Z"
+
+
+def parse_timestamp(text: str) -> np.datetime64:
+    """Inverse of format_timestamp; raises ValueError on a malformed stamp."""
+    return np.datetime64(text.rstrip("Z"), "s")
+
+
 def write_csv(dataset: Dataset, path) -> None:
     n_p, n_v = dataset.n_loads, dataset.n_voltages
     header = (["timestamp"]
@@ -131,8 +141,7 @@ def write_csv(dataset: Dataset, path) -> None:
         writer = csv.writer(f)
         writer.writerow(header)
         for t in range(dataset.n_steps):
-            stamp = np.datetime_as_string(dataset.timestamps[t], unit="s") + "Z"
-            row = ([stamp]
+            row = ([format_timestamp(dataset.timestamps[t])]
                    + [_format(x) for x in dataset.inputs[t]]
                    + [_format(x) for x in dataset.outputs_v[t]]
                    + [_format(x) for x in dataset.outputs_a[t]])
@@ -154,9 +163,8 @@ def read_csv(path) -> Dataset:
             if len(row) != width:
                 raise DatasetError(f"{path}:{lineno}: expected {width} columns, "
                                    f"got {len(row)}")
-            stamp = row[0].rstrip("Z")
             try:
-                timestamps.append(np.datetime64(stamp, "s"))
+                timestamps.append(parse_timestamp(row[0]))
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
             try:

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import surrogate as sg
+from .dataset import format_timestamp, parse_timestamp
 from .loadgen import LoadSeries
 from .metrics import eps_inf
 from .netmodel import Network
+from .report import RunSummary, summarize
 from .solver import MODEL, SOLVER, SolverSettings, VoltageSolution, solve_newton_raphson
 
 # triggering_check values
@@ -115,8 +117,7 @@ def step(state: HybridState, surrogate: sg.ClusteredSurrogate, network: Network,
                             solver_iterations=solution.iterations,
                             wall_time=time.perf_counter() - start)
     else:
-        solution = VoltageSolution(v=pred_v, a=pred_a, iterations=0, provenance=MODEL,
-                                   converged=True)
+        solution = VoltageSolution(v=pred_v, a=pred_a, iterations=0, converged=True)
         state.steps_since_check += 1
         record = StepRecord(timestamp=timestamp, decision=MODEL, triggering_check=None,
                             wall_time=time.perf_counter() - start)
@@ -128,14 +129,12 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
                load_series: LoadSeries, config: HybridConfig,
                settings: SolverSettings,
                ground_truth: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> tuple[list[VoltageSolution], list[StepRecord], "RunSummary"]:
+               ) -> tuple[list[VoltageSolution], list[StepRecord], RunSummary]:
     """Sequential hybrid simulation over a load series.
 
     ground_truth, when given, is (v, a) matrices aligned with the series;
     each record then carries the accepted output's error against truth.
     """
-    from .report import summarize  # local import to avoid a cycle
-
     state = HybridState()
     solutions = []
     records = []
@@ -188,7 +187,7 @@ def write_records(records: list[StepRecord], path) -> None:
         writer.writerow(RECORD_HEADER)
         for r in records:
             writer.writerow([
-                np.datetime_as_string(r.timestamp, unit="s") + "Z",
+                format_timestamp(r.timestamp),
                 r.decision,
                 r.triggering_check or "",
                 "" if r.model_eps_inf_vs_truth is None
@@ -206,7 +205,7 @@ def read_records(path) -> list[StepRecord]:
             raise ValueError(f"{path}: unexpected records header {header}")
         for row in reader:
             records.append(StepRecord(
-                timestamp=np.datetime64(row[0].rstrip("Z"), "s"),
+                timestamp=parse_timestamp(row[0]),
                 decision=row[1],
                 triggering_check=row[2] or None,
                 model_eps_inf_vs_truth=float(row[3]) if row[3] else None,

@@ -9,11 +9,15 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hybrid import StepRecord
+from .dataset import format_timestamp
 from .solver import MODEL, SOLVER
+
+if TYPE_CHECKING:
+    from .hybrid import StepRecord
 
 
 class ReportError(ValueError):
@@ -146,7 +150,7 @@ def write_error_series(records: list[StepRecord], cluster_labels, path) -> None:
         writer.writerow(["timestamp", "decision", "eps_inf", "cluster"])
         for i, r in enumerate(records):
             writer.writerow([
-                np.datetime_as_string(r.timestamp, unit="s") + "Z",
+                format_timestamp(r.timestamp),
                 r.decision,
                 "" if r.model_eps_inf_vs_truth is None
                 else f"{r.model_eps_inf_vs_truth:.17g}",

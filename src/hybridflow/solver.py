@@ -44,7 +44,6 @@ class VoltageSolution:
     v: np.ndarray
     a: np.ndarray
     iterations: int
-    provenance: str  # "solver" or "model"
     converged: bool
     wall_time: float = 0.0
 
@@ -109,8 +108,8 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
         dQ = q_inj[pq] - S.imag[pq]
         mismatch = np.concatenate([dP, dQ])
         if np.max(np.abs(mismatch)) <= settings.mismatch_tolerance:
-            return VoltageSolution(v=v, a=a, iterations=iteration, provenance=SOLVER,
-                                   converged=True, wall_time=time.perf_counter() - start)
+            return VoltageSolution(v=v, a=a, iterations=iteration, converged=True,
+                                   wall_time=time.perf_counter() - start)
         if iteration == settings.max_iterations:
             break
 
@@ -133,5 +132,4 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
         v[pq] += dx[len(pq):]
 
     return VoltageSolution(v=v, a=a, iterations=settings.max_iterations,
-                           provenance=SOLVER, converged=False,
-                           wall_time=time.perf_counter() - start)
+                           converged=False, wall_time=time.perf_counter() - start)

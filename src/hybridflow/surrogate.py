@@ -1,16 +1,17 @@
 """Clustered linear-regression surrogate for the power flow mapping.
 
-Each cluster of similar (p, q) inputs gets its own pair of least-squares
-maps: one from inputs to voltage magnitudes, one to angles. New inputs
-are routed to the nearest cluster center and evaluated with that
-cluster's model. Inputs are optionally z-scored (train-set statistics)
-before both clustering distances and regression.
+Inputs x = (p, q) are z-scored with train-set statistics (mean 0 and
+scale 1 when trained without standardization) before both clustering
+distances and regression. Each cluster k of similar inputs gets one
+least-squares map, (v, a) = coef[k] @ xs + intercept[k], whose first n_v
+rows give voltage magnitudes and last n_v rows angles. New inputs are
+routed to the nearest cluster center and evaluated with that cluster's map.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,19 +21,11 @@ KMEANS = "kmeans"
 DAY_OF_WEEK = "day_of_week"
 NONE = "none"
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SurrogateError(ValueError):
     """Raised for invalid training data or configurations."""
-
-
-@dataclass
-class RegressionModel:
-    A1: np.ndarray                 # [n_v, 2*n_p] inputs -> v
-    A2: np.ndarray                 # [n_v, 2*n_p] inputs -> a
-    b1: np.ndarray | None = None   # intercepts, length n_v
-    b2: np.ndarray | None = None
 
 
 @dataclass
@@ -45,28 +38,24 @@ class ClusterAssignment:
 @dataclass
 class ClusteredSurrogate:
     method: str                    # "kmeans", "day_of_week", or "none"
-    n_c: int
-    centers: np.ndarray            # [n_c, 2*n_p], in standardized space if scaled
-    models: list[RegressionModel]
+    centers: np.ndarray            # [n_c, 2*n_p], in standardized space
+    coef: np.ndarray               # [n_c, 2*n_v, 2*n_p]; rows [:n_v] -> v, [n_v:] -> a
+    intercept: np.ndarray          # [n_c, 2*n_v]; zeros when fit without one
     train_distances: list[np.ndarray]  # per cluster, sorted ascending
-    input_mean: np.ndarray | None = None
-    input_scale: np.ndarray | None = None
+    input_mean: np.ndarray         # [2*n_p]; zeros when not standardized
+    input_scale: np.ndarray        # [2*n_p]; ones when not standardized
 
     @property
-    def n_inputs(self) -> int:
-        return self.centers.shape[1]
-
-    def _standardize(self, x: np.ndarray) -> np.ndarray:
-        if self.input_mean is None:
-            return x
-        return (x - self.input_mean) / self.input_scale
+    def n_c(self) -> int:
+        return len(self.centers)
 
 
 def fit_regression(train_inputs: np.ndarray, train_outputs: np.ndarray,
-                   intercept: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ordinary least squares A (and optional intercept b) minimizing
-    sum ||y - A x - b||^2, via SVD; rank-deficient systems yield the
-    minimum-norm coefficient matrix.
+                   intercept: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinary least squares A and intercept b minimizing
+    sum ||y - A x - b||^2, via SVD on centred data; rank-deficient systems
+    yield the minimum-norm coefficient matrix. Without an intercept the
+    data are not centred and b is zero.
     """
     X = np.asarray(train_inputs, dtype=float)
     Y = np.asarray(train_outputs, dtype=float)
@@ -74,14 +63,11 @@ def fit_regression(train_inputs: np.ndarray, train_outputs: np.ndarray,
         raise SurrogateError(f"incompatible training shapes {X.shape} and {Y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise SurrogateError("non-finite values in training data")
-    if intercept:
-        x_mean = X.mean(axis=0)
-        y_mean = Y.mean(axis=0)
-        At, *_ = np.linalg.lstsq(X - x_mean, Y - y_mean, rcond=None)
-        A = At.T
-        return A, y_mean - A @ x_mean
-    At, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    return At.T, None
+    x_mean = X.mean(axis=0) if intercept else np.zeros(X.shape[1])
+    y_mean = Y.mean(axis=0) if intercept else np.zeros(Y.shape[1])
+    At, *_ = np.linalg.lstsq(X - x_mean, Y - y_mean, rcond=None)
+    A = At.T
+    return A, y_mean - A @ x_mean
 
 
 @dataclass
@@ -178,10 +164,9 @@ def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
         mean = X.mean(axis=0)
         scale = X.std(axis=0)
         scale = np.where(scale > 1e-12, scale, 1.0)
-        Xs = (X - mean) / scale
     else:
-        mean = scale = None
-        Xs = X
+        mean, scale = np.zeros(X.shape[1]), np.ones(X.shape[1])
+    Xs = (X - mean) / scale
 
     if method == NONE:
         labels = np.zeros(dataset.n_steps, dtype=int)
@@ -200,7 +185,9 @@ def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
     else:
         raise SurrogateError(f"unknown clustering method {method!r}")
 
-    models = []
+    Y = np.hstack([dataset.outputs_v, dataset.outputs_a])
+    coef = np.zeros((n_c, Y.shape[1], Xs.shape[1]))
+    bias = np.zeros((n_c, Y.shape[1]))
     train_distances = []
     for k in range(n_c):
         members = labels == k
@@ -210,76 +197,34 @@ def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
         if 0 < count < min_cluster_size:
             raise SurrogateError(f"cluster {k} has only {count} samples "
                                  f"(minimum {min_cluster_size}); try smaller n_c")
-        if count == 0:
-            models.append(RegressionModel(A1=np.zeros((dataset.n_voltages, Xs.shape[1])),
-                                          A2=np.zeros((dataset.n_voltages, Xs.shape[1]))))
+        if count == 0:  # a weekday absent from training keeps a zero map
             train_distances.append(np.array([]))
             continue
-        A1, b1 = fit_regression(Xs[members], dataset.outputs_v[members], intercept)
-        A2, b2 = fit_regression(Xs[members], dataset.outputs_a[members], intercept)
-        models.append(RegressionModel(A1=A1, A2=A2, b1=b1, b2=b2))
+        coef[k], bias[k] = fit_regression(Xs[members], Y[members], intercept)
         dists = np.linalg.norm(Xs[members] - centers[k], axis=1)
         train_distances.append(np.sort(dists))
 
-    return ClusteredSurrogate(method=method, n_c=n_c, centers=centers, models=models,
+    return ClusteredSurrogate(method=method, centers=centers, coef=coef, intercept=bias,
                               train_distances=train_distances,
                               input_mean=mean, input_scale=scale)
 
 
-def _assign_standardized(surrogate: ClusteredSurrogate,
-                         xs: np.ndarray) -> ClusterAssignment:
+def evaluate(surrogate: ClusteredSurrogate, x: np.ndarray
+             ) -> tuple[ClusterAssignment, np.ndarray, np.ndarray]:
+    """Route an input to its nearest cluster center (ties to the lowest
+    index) and evaluate that cluster's map; returns (assignment, v, a)."""
+    xs = (np.asarray(x, dtype=float) - surrogate.input_mean) / surrogate.input_scale
     diff = surrogate.centers - xs
     d2 = np.einsum("ij,ij->i", diff, diff)
     k = int(np.argmin(d2))
     d = float(np.sqrt(d2[k]))
     dists = surrogate.train_distances[k]
-    if len(dists) == 0:
-        percentile = 100.0
-    else:
-        # nearest rank: fraction of training members strictly closer
-        percentile = 100.0 * np.searchsorted(dists, d, side="left") / len(dists)
-    return ClusterAssignment(cluster_index=k, distance=d,
-                             distance_percentile=float(percentile))
-
-
-def assign(surrogate: ClusteredSurrogate, x: np.ndarray) -> ClusterAssignment:
-    """Route an input to its nearest cluster center (ties to lowest index)."""
-    xs = surrogate._standardize(np.asarray(x, dtype=float))
-    return _assign_standardized(surrogate, xs)
-
-
-def _predict_standardized(surrogate: ClusteredSurrogate, xs: np.ndarray,
-                          cluster_index: int) -> tuple[np.ndarray, np.ndarray]:
-    model = surrogate.models[cluster_index]
-    v = model.A1 @ xs
-    a = model.A2 @ xs
-    if model.b1 is not None:
-        v = v + model.b1
-    if model.b2 is not None:
-        a = a + model.b2
-    return v, a
-
-
-def predict(surrogate: ClusteredSurrogate, x: np.ndarray,
-            assignment: ClusterAssignment | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the assigned cluster's model: v = A1 x (+ b1), a = A2 x (+ b2)."""
-    if assignment is None:
-        assignment = assign(surrogate, x)
-    xs = surrogate._standardize(np.asarray(x, dtype=float))
-    return _predict_standardized(surrogate, xs, assignment.cluster_index)
-
-
-def evaluate(surrogate: ClusteredSurrogate, x: np.ndarray
-             ) -> tuple[ClusterAssignment, np.ndarray, np.ndarray]:
-    """assign + predict with the input standardized once."""
-    xs = surrogate._standardize(np.asarray(x, dtype=float))
-    assignment = _assign_standardized(surrogate, xs)
-    v, a = _predict_standardized(surrogate, xs, assignment.cluster_index)
-    return assignment, v, a
-
-
-def _array(arr: np.ndarray | None):
-    return None if arr is None else arr.tolist()
+    # nearest rank: fraction of training members strictly closer
+    percentile = (100.0 * np.searchsorted(dists, d, side="left") / len(dists)
+                  if len(dists) else 100.0)
+    y = surrogate.coef[k] @ xs + surrogate.intercept[k]
+    n_v = len(y) // 2
+    return ClusterAssignment(k, d, float(percentile)), y[:n_v], y[n_v:]
 
 
 def save(surrogate: ClusteredSurrogate, path) -> None:
@@ -288,17 +233,12 @@ def save(surrogate: ClusteredSurrogate, path) -> None:
         "format": "hybridflow-surrogate",
         "version": FORMAT_VERSION,
         "method": surrogate.method,
-        "n_c": surrogate.n_c,
-        "n_inputs": surrogate.n_inputs,
         "centers": surrogate.centers.tolist(),
-        "input_mean": _array(surrogate.input_mean),
-        "input_scale": _array(surrogate.input_scale),
+        "coef": surrogate.coef.tolist(),
+        "intercept": surrogate.intercept.tolist(),
+        "input_mean": surrogate.input_mean.tolist(),
+        "input_scale": surrogate.input_scale.tolist(),
         "train_distances": [d.tolist() for d in surrogate.train_distances],
-        "models": [
-            {"A1": m.A1.tolist(), "A2": m.A2.tolist(),
-             "b1": _array(m.b1), "b2": _array(m.b2)}
-            for m in surrogate.models
-        ],
     }
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
@@ -311,18 +251,12 @@ def load(path) -> ClusteredSurrogate:
         raise SurrogateError(f"{path}: not a surrogate model file")
     if doc.get("version") != FORMAT_VERSION:
         raise SurrogateError(f"{path}: unsupported version {doc.get('version')}")
-
-    def arr(x):
-        return None if x is None else np.array(x, dtype=float)
-
     return ClusteredSurrogate(
         method=doc["method"],
-        n_c=int(doc["n_c"]),
         centers=np.array(doc["centers"], dtype=float),
-        models=[RegressionModel(A1=np.array(m["A1"]), A2=np.array(m["A2"]),
-                                b1=arr(m["b1"]), b2=arr(m["b2"]))
-                for m in doc["models"]],
+        coef=np.array(doc["coef"], dtype=float),
+        intercept=np.array(doc["intercept"], dtype=float),
         train_distances=[np.array(d, dtype=float) for d in doc["train_distances"]],
-        input_mean=arr(doc["input_mean"]),
-        input_scale=arr(doc["input_scale"]),
+        input_mean=np.array(doc["input_mean"], dtype=float),
+        input_scale=np.array(doc["input_scale"], dtype=float),
     )

@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from hybridflow.netmodel import Network
-from hybridflow.solver import SOLVER, SolverSettings, VoltageSolution, injections
+from hybridflow.solver import SolverSettings, VoltageSolution, injections
 
 GS_MAX_SWEEPS = 20000
 GS_ACCELERATION = 1.6  # SOR factor; 1.0 recovers plain Gauss-Seidel
@@ -38,8 +38,6 @@ def solve_gauss_seidel(network: Network, p: np.ndarray, q: np.ndarray,
         if np.max(np.abs(residual)) <= settings.mismatch_tolerance:
             V[slack] = 1.0
             return VoltageSolution(v=np.abs(V), a=np.angle(V), iterations=sweep,
-                                   provenance=SOLVER, converged=True,
-                                   wall_time=time.perf_counter() - start)
-    return VoltageSolution(v=np.abs(V), a=np.angle(V),
-                           iterations=GS_MAX_SWEEPS, provenance=SOLVER,
+                                   converged=True, wall_time=time.perf_counter() - start)
+    return VoltageSolution(v=np.abs(V), a=np.angle(V), iterations=GS_MAX_SWEEPS,
                            converged=False, wall_time=time.perf_counter() - start)

@@ -82,7 +82,7 @@ def test_train_none_equals_single_cluster(workdir, tmp_path):
     m_one = sg.load(tmp_path / "o2" / "surrogate.json")
     assert m_none.n_c == m_one.n_c == 1
     assert np.allclose(m_none.centers, m_one.centers)
-    assert np.allclose(m_none.models[0].A1, m_one.models[0].A1)
+    assert np.allclose(m_none.coef, m_one.coef)
 
 
 def test_simulate_hybrid(workdir, capsys):
@@ -139,6 +139,33 @@ def test_unknown_config_key_is_error(tmp_path, anchor, key):
         anchor, f"{anchor}  {key}: false\n"))
     with pytest.raises(ConfigError, match=f"unknown key .*: {key}$"):
         load_config(config)
+
+
+def test_version_1_surrogate_is_one_line_error(workdir, tmp_path, capsys):
+    # the version-1 layout: a list of per-cluster maps A1/A2 (v/a) and b1/b2
+    model = sg.load(workdir / "out" / "surrogate.json")
+    n_v = model.coef.shape[1] // 2
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({
+        "format": "hybridflow-surrogate", "version": 1, "method": model.method,
+        "n_c": model.n_c, "n_inputs": model.centers.shape[1],
+        "centers": model.centers.tolist(),
+        "input_mean": model.input_mean.tolist(),
+        "input_scale": model.input_scale.tolist(),
+        "train_distances": [d.tolist() for d in model.train_distances],
+        "models": [{"A1": c[:n_v].tolist(), "A2": c[n_v:].tolist(),
+                    "b1": b[:n_v].tolist(), "b2": b[n_v:].tolist()}
+                   for c, b in zip(model.coef, model.intercept)],
+    }))
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG_TEMPLATE.format(out=workdir / "out").replace(
+        f"model_file: {workdir / 'out'}/surrogate.json", f"model_file: {v1}"))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"),
+                 "simulate"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert lines[0].endswith("unsupported version 1")
 
 
 def test_tune_single_point(workdir):

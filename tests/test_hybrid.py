@@ -21,7 +21,7 @@ def constant_series(network, level=0.01, T=64):
 
 def perfect_surrogate(network, settings, level=0.01):
     """Surrogate that reproduces the solver bit-exactly on a constant-load
-    toy case: zero coefficient matrices with the solver solution as the
+    toy case: a zero coefficient matrix with the solver solution as the
     intercept."""
     series = constant_series(network, level, T=1)
     from hybridflow.solver import solve_newton_raphson
@@ -29,10 +29,11 @@ def perfect_surrogate(network, settings, level=0.01):
     assert sol.converged
     x = np.concatenate([series.P[0], series.Q[0]])
     n_in, n_v = len(x), network.n_bus
-    model = sg.RegressionModel(A1=np.zeros((n_v, n_in)), A2=np.zeros((n_v, n_in)),
-                               b1=sol.v.copy(), b2=sol.a.copy())
-    return sg.ClusteredSurrogate(method=sg.NONE, n_c=1, centers=x[None, :],
-                                 models=[model], train_distances=[np.zeros(1)])
+    return sg.ClusteredSurrogate(method=sg.NONE, centers=x[None, :],
+                                 coef=np.zeros((1, 2 * n_v, n_in)),
+                                 intercept=np.concatenate([sol.v, sol.a])[None, :],
+                                 train_distances=[np.zeros(1)],
+                                 input_mean=np.zeros(n_in), input_scale=np.ones(n_in))
 
 
 def test_first_step_forces_solver(net4, settings):
@@ -44,7 +45,6 @@ def test_first_step_forces_solver(net4, settings):
                                    timestamp=series.timestamps[0])
     assert record.decision == SOLVER
     assert record.triggering_check == "forced_first"
-    assert solution.provenance == SOLVER
     assert state.steps_since_check == 0
     assert math.isfinite(state.last_observed_model_error)
 
@@ -134,8 +134,7 @@ def test_gate_soundness_replay(feeder30, small_dataset, settings):
             assert r.decision == SOLVER
         else:
             x = np.concatenate([test_series.P[t], test_series.Q[t]])
-            assignment = sg.assign(model, x)
-            pred_v, pred_a = sg.predict(model, x, assignment)
+            assignment, pred_v, pred_a = sg.evaluate(model, x)
             prev = solutions[t - 1]
             gates = [
                 assignment.distance_percentile >= config.distance_percentile_threshold,
@@ -146,7 +145,7 @@ def test_gate_soundness_replay(feeder30, small_dataset, settings):
             assert (r.decision == SOLVER) == any(gates)
         if r.decision == SOLVER:
             x = np.concatenate([test_series.P[t], test_series.Q[t]])
-            pred_v, pred_a = sg.predict(model, x)
+            _, pred_v, pred_a = sg.evaluate(model, x)
             stored_error = eps_inf(pred_v, pred_a, accepted.v, accepted.a)
             steps_since = 0
         else:

@@ -3,9 +3,8 @@ import pytest
 
 from hybridflow import surrogate as sg
 from hybridflow.dataset import Dataset
-from hybridflow.surrogate import (ClusteredSurrogate, SurrogateError, assign,
-                                  cluster_day_of_week, fit_regression, kmeans,
-                                  predict, train)
+from hybridflow.surrogate import (SurrogateError, cluster_day_of_week, evaluate,
+                                  fit_regression, kmeans, train)
 
 
 def linear_dataset(T=200, n_p=2, n_v=3, seed=0, noise=0.0):
@@ -43,7 +42,7 @@ def test_matches_normal_equations_oracle():
     X = rng.standard_normal((50, 6))
     Y = rng.standard_normal((50, 4))
     A, b = fit_regression(X, Y, intercept=False)
-    assert b is None
+    assert np.array_equal(b, np.zeros(4))
     oracle = (np.linalg.pinv(X) @ Y).T  # brute-force pseudo-inverse
     assert np.allclose(A, oracle, rtol=1e-8, atol=1e-12)
 
@@ -150,7 +149,7 @@ def test_28_day_set_splits_evenly():
     assert np.all(counts == 28 * 24 // 7)
 
 
-# --- train / assign / predict ----------------------------------------------
+# --- train / evaluate -------------------------------------------------------
 
 def test_method_none_equals_one_cluster():
     data, _, _ = linear_dataset(noise=0.001)
@@ -159,7 +158,7 @@ def test_method_none_equals_one_cluster():
     assert s_none.n_c == 1
     assert np.allclose(s_none.centers, s_one.centers, atol=1e-12)
     x = data.inputs[17]
-    assert np.allclose(predict(s_none, x)[0], predict(s_one, x)[0], atol=1e-12)
+    assert np.allclose(evaluate(s_none, x)[1], evaluate(s_one, x)[1], atol=1e-12)
 
 
 def test_piecewise_linear_regimes_need_clustering():
@@ -177,8 +176,8 @@ def test_piecewise_linear_regimes_need_clustering():
 
     s3 = train(data, method=sg.KMEANS, n_c=3, seed=0)
     s1 = train(data, method=sg.KMEANS, n_c=1, seed=0)
-    err3 = max(abs(predict(s3, X[t])[0][0] - Y[t, 0]) for t in range(0, T, 7))
-    err1 = max(abs(predict(s1, X[t])[0][0] - Y[t, 0]) for t in range(0, T, 7))
+    err3 = max(abs(evaluate(s3, X[t])[1][0] - Y[t, 0]) for t in range(0, T, 7))
+    err1 = max(abs(evaluate(s1, X[t])[1][0] - Y[t, 0]) for t in range(0, T, 7))
     assert err3 <= 1e-6
     assert err1 > 100 * err3
 
@@ -194,7 +193,7 @@ def test_assign_center_exactly():
     model = train(data, method=sg.KMEANS, n_c=3, seed=0)
     # un-standardize the center to get the raw-space input that maps onto it
     raw = model.centers[1] * model.input_scale + model.input_mean
-    result = assign(model, raw)
+    result, _, _ = evaluate(model, raw)
     assert result.cluster_index == 1
     assert result.distance == pytest.approx(0.0, abs=1e-12)
     assert result.distance_percentile == 0.0
@@ -204,7 +203,7 @@ def test_assign_far_point_percentile_100():
     data, _, _ = linear_dataset(noise=0.001)
     model = train(data, method=sg.KMEANS, n_c=2, seed=0)
     far = data.inputs[0] + 1e6
-    assert assign(model, far).distance_percentile == 100.0
+    assert evaluate(model, far)[0].distance_percentile == 100.0
 
 
 def test_assign_matches_linear_scan():
@@ -216,13 +215,13 @@ def test_assign_matches_linear_scan():
         xs = (x - model.input_mean) / model.input_scale
         scan = min(range(model.n_c),
                    key=lambda k: (np.linalg.norm(xs - model.centers[k]), k))
-        assert assign(model, x).cluster_index == scan
+        assert evaluate(model, x)[0].cluster_index == scan
 
 
 def test_predict_reproduces_noiseless_training_sample():
     data, _, _ = linear_dataset(noise=0.0)
     model = train(data, method=sg.KMEANS, n_c=2, seed=0)
-    v, a = predict(model, data.inputs[50])
+    _, v, a = evaluate(model, data.inputs[50])
     assert np.max(np.abs(v - data.outputs_v[50])) < 1e-9
     assert np.max(np.abs(a - data.outputs_a[50])) < 1e-9
 
@@ -230,7 +229,7 @@ def test_predict_reproduces_noiseless_training_sample():
 def test_zero_input_no_intercept_gives_zero():
     data, _, _ = linear_dataset()
     model = train(data, method=sg.NONE, seed=0, intercept=False, standardize=False)
-    v, a = predict(model, np.zeros(data.inputs.shape[1]))
+    _, v, a = evaluate(model, np.zeros(data.inputs.shape[1]))
     assert np.allclose(v, 0.0, atol=1e-12)
     assert np.allclose(a, 0.0, atol=1e-12)
 
@@ -239,12 +238,13 @@ def test_predict_equals_manual_evaluation():
     data, _, _ = linear_dataset(noise=0.01)
     model = train(data, method=sg.KMEANS, n_c=2, seed=0)
     x = data.inputs[123]
-    result = assign(model, x)
-    m = model.models[result.cluster_index]
+    result, v, a = evaluate(model, x)
+    k = result.cluster_index
     xs = (x - model.input_mean) / model.input_scale
-    v, a = predict(model, x)
-    assert np.array_equal(v, m.A1 @ xs + m.b1)
-    assert np.array_equal(a, m.A2 @ xs + m.b2)
+    y = model.coef[k] @ xs + model.intercept[k]
+    n_v = data.n_voltages
+    assert np.array_equal(v, y[:n_v])
+    assert np.array_equal(a, y[n_v:])
 
 
 def test_clustering_improves_mode_structured_fit(small_dataset, small_spec):
@@ -259,26 +259,28 @@ def test_clustering_improves_mode_structured_fit(small_dataset, small_spec):
     for t in range(T):
         x = small_dataset.inputs[t]
         truth_v, truth_a = small_dataset.outputs_v[t], small_dataset.outputs_a[t]
-        e_multi = eps_inf(*predict(s_multi, x), truth_v, truth_a)
-        e_single = eps_inf(*predict(s_single, x), truth_v, truth_a)
+        e_multi = eps_inf(*evaluate(s_multi, x)[1:], truth_v, truth_a)
+        e_single = eps_inf(*evaluate(s_single, x)[1:], truth_v, truth_a)
         wins += e_multi <= e_single
     assert wins / T >= 0.90
 
 
 def test_serialization_round_trip(tmp_path):
     data, _, _ = linear_dataset(noise=0.01)
-    model = train(data, method=sg.KMEANS, n_c=3, seed=2)
-    path = tmp_path / "model.json"
-    sg.save(model, path)
-    loaded = sg.load(path)
-    assert loaded.method == model.method
-    assert loaded.n_c == model.n_c
-    assert np.array_equal(loaded.centers, model.centers)
-    for m1, m2 in zip(loaded.models, model.models):
-        assert np.array_equal(m1.A1, m2.A1)
-        assert np.array_equal(m1.b2, m2.b2)
-    x = data.inputs[3]
-    assert np.array_equal(predict(loaded, x)[0], predict(model, x)[0])
+    for fitted in (True, False):  # with and without intercept and z-scoring
+        model = train(data, method=sg.KMEANS, n_c=3, seed=2,
+                      intercept=fitted, standardize=fitted)
+        path = tmp_path / f"model_{fitted}.json"
+        sg.save(model, path)
+        loaded = sg.load(path)
+        assert loaded.method == model.method
+        assert loaded.n_c == model.n_c
+        for name in ("centers", "coef", "intercept", "input_mean", "input_scale"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
+        x = data.inputs[3]
+        assert np.array_equal(evaluate(loaded, x)[1], evaluate(model, x)[1])
+    assert not loaded.intercept.any()
+    assert not loaded.input_mean.any() and (loaded.input_scale == 1.0).all()
 
 
 def test_serialized_determinism(tmp_path):
