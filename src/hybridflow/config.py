@@ -16,7 +16,7 @@ import yaml
 from .dataset import SplitSpec
 from .hybrid import HybridConfig
 from .loadgen import LoadProfileSpec, default_modes
-from .netmodel import Network, load_network
+from .netmodel import Loader, Network, load_network
 from .solver import SolverSettings
 
 
@@ -91,7 +91,7 @@ def load_config(path, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
     path = Path(path)
     with open(path) as f:
-        raw = yaml.safe_load(f)
+        raw = yaml.load(f, Loader=Loader)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping at top level")
     if "network" not in raw:

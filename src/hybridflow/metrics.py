@@ -8,6 +8,7 @@ the maximum over buses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,12 @@ def vector_error(pred_v: np.ndarray, pred_a: np.ndarray,
     diff = np.sqrt(dr * dr + di * di)
     norm = np.abs(true_v)  # ||(v cos a, v sin a)|| = |v|
     # zero-norm truth: fall back to the unnormalized error
-    per_bus = np.where(norm > 0.0, diff / np.where(norm > 0.0, norm, 1.0), diff)
-    # NaN/inf in any input propagates here, so one scan covers all four
-    if not np.isfinite(per_bus).all():
+    per_bus = np.divide(diff, norm, out=diff, where=norm > 0.0)
+    # NaN/inf in any input propagates here and argmax prefers it to any
+    # finite value, so checking the worst bus covers all four
+    worst = int(per_bus.argmax())
+    if not math.isfinite(per_bus[worst]):
         raise MetricError("non-finite value in metric input")
-    worst = int(np.argmax(per_bus))
     return ErrorReport(per_bus=per_bus, eps_inf=float(per_bus[worst]), worst_bus=worst)
 
 

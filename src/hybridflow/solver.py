@@ -3,6 +3,10 @@
 Loads are given as positive consumption (p, q) on the load-attached
 buses; injections are negated internally. Voltages are solved at every
 bus, with the slack pinned to 1.0 pu / 0.0 rad.
+
+Each iteration builds only the pq x pq blocks of the Jacobian, straight
+from the pq rows and columns of Y in O(n^2) (`_jacobian`), and solves the
+dense 2*npq system with `np.linalg.solve`; that LU is the O(n^3) floor.
 """
 
 from __future__ import annotations
@@ -75,6 +79,24 @@ def power_mismatch(network: Network, p: np.ndarray, q: np.ndarray,
     return np.concatenate([p_inj[pq] - S.real[pq], q_inj[pq] - S.imag[pq]])
 
 
+def _jacobian(Y_pp: np.ndarray, Vp: np.ndarray, Sp: np.ndarray) -> np.ndarray:
+    """[[dP/da, dP/dv], [dQ/da, dQ/dv]] over the pq buses in O(npq^2): with
+    W = diag(V) conj(Y) diag(conj V) and S = V conj(I), MATPOWER's
+    dS/da = j (diag(S) - W) and dS/dv = (diag(S) + W) / |V| (per column)."""
+    npq = len(Vp)
+    d = np.diag_indices(npq)
+    W = Vp[:, None] * np.conj(Y_pp) * np.conj(Vp)
+    da = -W
+    da[d] += Sp
+    W[d] += Sp
+    J = np.empty((2 * npq, 2 * npq))
+    J[:npq, :npq] = -da.imag
+    J[npq:, :npq] = da.real
+    J[:npq, npq:] = W.real / np.abs(Vp)
+    J[npq:, npq:] = W.imag / np.abs(Vp)
+    return J
+
+
 def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
                          initial_guess: VoltageSolution | None = None,
                          settings: SolverSettings | None = None) -> VoltageSolution:
@@ -85,51 +107,38 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
     """
     settings = settings or SolverSettings()
     start = time.perf_counter()
-    n = network.n_bus
     slack = network.slack_index
     pq = network.pq_indices
+    npq = len(pq)
     p_inj, q_inj = injections(network, p, q)
+    target = np.concatenate([p_inj[pq], q_inj[pq]])
 
     if initial_guess is not None:
         v = np.array(initial_guess.v, dtype=float)
         a = np.array(initial_guess.a, dtype=float)
     else:
-        v = np.ones(n)
-        a = np.zeros(n)
+        v = np.ones(network.n_bus)
+        a = np.zeros(network.n_bus)
     v[slack] = 1.0
     a[slack] = 0.0
 
-    Y = network.Y
+    Y_pp = network.Y[np.ix_(pq, pq)]
     for iteration in range(settings.max_iterations + 1):
         V = v * np.exp(1j * a)
-        I = Y @ V
-        S = V * np.conj(I)
-        dP = p_inj[pq] - S.real[pq]
-        dQ = q_inj[pq] - S.imag[pq]
-        mismatch = np.concatenate([dP, dQ])
+        Vp = V[pq]
+        Sp = Vp * np.conj((network.Y @ V)[pq])
+        mismatch = target - np.concatenate([Sp.real, Sp.imag])
         if np.max(np.abs(mismatch)) <= settings.mismatch_tolerance:
             return VoltageSolution(v=v, a=a, iterations=iteration, converged=True,
                                    wall_time=time.perf_counter() - start)
         if iteration == settings.max_iterations:
             break
-
-        # MATPOWER-style complex power flow derivatives
-        diagV = np.diag(V)
-        diagI = np.diag(I)
-        diagVnorm = np.diag(V / np.abs(V))
-        dS_da = 1j * diagV @ np.conj(diagI - Y @ diagV)
-        dS_dv = diagVnorm @ np.conj(diagI) + diagV @ np.conj(Y @ diagVnorm)
-
-        J = np.block([
-            [dS_da.real[np.ix_(pq, pq)], dS_dv.real[np.ix_(pq, pq)]],
-            [dS_da.imag[np.ix_(pq, pq)], dS_dv.imag[np.ix_(pq, pq)]],
-        ])
         try:
-            dx = np.linalg.solve(J, mismatch)
+            dx = np.linalg.solve(_jacobian(Y_pp, Vp, Sp), mismatch)
         except np.linalg.LinAlgError:
             raise SingularJacobianError(iteration) from None
-        a[pq] += dx[:len(pq)]
-        v[pq] += dx[len(pq):]
+        a[pq] += dx[:npq]
+        v[pq] += dx[npq:]
 
     return VoltageSolution(v=v, a=a, iterations=settings.max_iterations,
                            converged=False, wall_time=time.perf_counter() - start)

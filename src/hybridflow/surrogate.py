@@ -35,6 +35,9 @@ class ClusterAssignment:
     distance_percentile: float     # nearest-rank against train_distances
 
 
+Evaluation = tuple[ClusterAssignment, np.ndarray, np.ndarray]  # (assignment, v, a)
+
+
 @dataclass
 class ClusteredSurrogate:
     method: str                    # "kmeans", "day_of_week", or "none"
@@ -209,22 +212,31 @@ def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
                               input_mean=mean, input_scale=scale)
 
 
-def evaluate(surrogate: ClusteredSurrogate, x: np.ndarray
-             ) -> tuple[ClusterAssignment, np.ndarray, np.ndarray]:
+def evaluate(surrogate: ClusteredSurrogate, x: np.ndarray) -> Evaluation | list[Evaluation]:
     """Route an input to its nearest cluster center (ties to the lowest
-    index) and evaluate that cluster's map; returns (assignment, v, a)."""
+    index) and evaluate that cluster's map; returns (assignment, v, a).
+    A batch `x` of shape [T, 2*n_p] returns one such triple per row."""
     xs = (np.asarray(x, dtype=float) - surrogate.input_mean) / surrogate.input_scale
-    diff = surrogate.centers - xs
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    k = int(np.argmin(d2))
-    d = float(np.sqrt(d2[k]))
-    dists = surrogate.train_distances[k]
-    # nearest rank: fraction of training members strictly closer
-    percentile = (100.0 * np.searchsorted(dists, d, side="left") / len(dists)
-                  if len(dists) else 100.0)
-    y = surrogate.coef[k] @ xs + surrogate.intercept[k]
-    n_v = len(y) // 2
-    return ClusterAssignment(k, d, float(percentile)), y[:n_v], y[n_v:]
+    X = np.atleast_2d(xs)
+    d2 = np.empty((len(X), surrogate.n_c))
+    for j, center in enumerate(surrogate.centers):
+        diff = X - center
+        d2[:, j] = np.einsum("ij,ij->i", diff, diff)
+    k = d2.argmin(axis=1)
+    d = np.sqrt(d2[np.arange(len(X)), k])
+    percentile = np.full(len(X), 100.0)
+    for j, dists in enumerate(surrogate.train_distances):
+        if len(dists):  # nearest rank: fraction of training members strictly closer
+            members = k == j
+            percentile[members] = 100.0 * dists.searchsorted(d[members]) / len(dists)
+    n_v = surrogate.coef.shape[1] // 2
+    rows = []
+    # one matrix-vector product per row: the same sums for a row in any
+    # batch, and no multi-threaded BLAS call on a large batch
+    for j, xs_t, d_t, percentile_t in zip(k.tolist(), X, d.tolist(), percentile.tolist()):
+        y = surrogate.coef[j] @ xs_t + surrogate.intercept[j]
+        rows.append((ClusterAssignment(j, d_t, percentile_t), y[:n_v], y[n_v:]))
+    return rows[0] if xs.ndim == 1 else rows
 
 
 def save(surrogate: ClusteredSurrogate, path) -> None:
@@ -241,7 +253,7 @@ def save(surrogate: ClusteredSurrogate, path) -> None:
         "train_distances": [d.tolist() for d in surrogate.train_distances],
     }
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
+        f.write(json.dumps(doc, sort_keys=True))  # json.dump skips the C encoder
 
 
 def load(path) -> ClusteredSurrogate:
@@ -251,12 +263,15 @@ def load(path) -> ClusteredSurrogate:
         raise SurrogateError(f"{path}: not a surrogate model file")
     if doc.get("version") != FORMAT_VERSION:
         raise SurrogateError(f"{path}: unsupported version {doc.get('version')}")
-    return ClusteredSurrogate(
-        method=doc["method"],
-        centers=np.array(doc["centers"], dtype=float),
-        coef=np.array(doc["coef"], dtype=float),
-        intercept=np.array(doc["intercept"], dtype=float),
-        train_distances=[np.array(d, dtype=float) for d in doc["train_distances"]],
-        input_mean=np.array(doc["input_mean"], dtype=float),
-        input_scale=np.array(doc["input_scale"], dtype=float),
-    )
+    try:
+        return ClusteredSurrogate(
+            method=doc["method"],
+            centers=np.array(doc["centers"], dtype=float),
+            coef=np.array(doc["coef"], dtype=float),
+            intercept=np.array(doc["intercept"], dtype=float),
+            train_distances=[np.array(d, dtype=float) for d in doc["train_distances"]],
+            input_mean=np.array(doc["input_mean"], dtype=float),
+            input_scale=np.array(doc["input_scale"], dtype=float),
+        )
+    except KeyError as exc:
+        raise SurrogateError(f"{path}: missing key '{exc.args[0]}'") from None

@@ -41,3 +41,51 @@ def solve_gauss_seidel(network: Network, p: np.ndarray, q: np.ndarray,
                                    converged=True, wall_time=time.perf_counter() - start)
     return VoltageSolution(v=np.abs(V), a=np.angle(V), iterations=GS_MAX_SWEEPS,
                            converged=False, wall_time=time.perf_counter() - start)
+
+
+def jacobian_dense(Y: np.ndarray, V: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """MATPOWER's complex power derivatives as dense n x n products (O(n^3)),
+    cut down to the pq rows and columns of the polar Newton Jacobian."""
+    diagV = np.diag(V)
+    diagI = np.diag(Y @ V)
+    diagVnorm = np.diag(V / np.abs(V))
+    dS_da = 1j * diagV @ np.conj(diagI - Y @ diagV)
+    dS_dv = diagVnorm @ np.conj(diagI) + diagV @ np.conj(Y @ diagVnorm)
+    return np.block([
+        [dS_da.real[np.ix_(pq, pq)], dS_dv.real[np.ix_(pq, pq)]],
+        [dS_da.imag[np.ix_(pq, pq)], dS_dv.imag[np.ix_(pq, pq)]],
+    ])
+
+
+def solve_newton_dense(network: Network, p: np.ndarray, q: np.ndarray,
+                       initial_guess: VoltageSolution | None = None,
+                       settings: SolverSettings | None = None) -> VoltageSolution:
+    """Polar Newton-Raphson driven by `jacobian_dense`: the reference loop
+    the library solver must match iteration for iteration."""
+    settings = settings or SolverSettings()
+    start = time.perf_counter()
+    slack = network.slack_index
+    pq = network.pq_indices
+    p_inj, q_inj = injections(network, p, q)
+    if initial_guess is not None:
+        v = np.array(initial_guess.v, dtype=float)
+        a = np.array(initial_guess.a, dtype=float)
+    else:
+        v = np.ones(network.n_bus)
+        a = np.zeros(network.n_bus)
+    v[slack] = 1.0
+    a[slack] = 0.0
+    for iteration in range(settings.max_iterations + 1):
+        V = v * np.exp(1j * a)
+        S = V * np.conj(network.Y @ V)
+        mismatch = np.concatenate([p_inj[pq] - S.real[pq], q_inj[pq] - S.imag[pq]])
+        if np.max(np.abs(mismatch)) <= settings.mismatch_tolerance:
+            return VoltageSolution(v=v, a=a, iterations=iteration, converged=True,
+                                   wall_time=time.perf_counter() - start)
+        if iteration == settings.max_iterations:
+            break
+        dx = np.linalg.solve(jacobian_dense(network.Y, V, pq), mismatch)
+        a[pq] += dx[:len(pq)]
+        v[pq] += dx[len(pq):]
+    return VoltageSolution(v=v, a=a, iterations=settings.max_iterations,
+                           converged=False, wall_time=time.perf_counter() - start)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hybridflow import surrogate as sg
 from hybridflow.cli import main
 from hybridflow.config import ConfigError, load_config
 from hybridflow.hybrid import read_records
+from hybridflow.solver import SingularJacobianError
 
 CONFIG_TEMPLATE = """\
 network: feeder30
@@ -166,6 +171,71 @@ def test_version_1_surrogate_is_one_line_error(workdir, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert lines[0].endswith("unsupported version 1")
+
+
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
+def _config_with(workdir, tmp_path, old, new) -> Path:
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG_TEMPLATE.format(out=workdir / "out").replace(old, new))
+    return config
+
+
+def test_surrogate_missing_key_is_one_line_error(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "out" / "surrogate.json").read_text())
+    del doc["coef"]
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(doc))
+    config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.json",
+                          f"model_file: {damaged}")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"),
+                 "simulate"]) == 1
+    assert _one_error_line(capsys) == f"error: {damaged}: missing key 'coef'"
+
+
+@pytest.mark.parametrize("flags", [[], ["--pure-solver"]], ids=["hybrid", "pure_solver"])
+def test_singular_jacobian_is_one_line_error(workdir, tmp_path, capsys, monkeypatch, flags):
+    def singular(*args, **kwargs):
+        raise SingularJacobianError(2)
+
+    monkeypatch.setattr("hybridflow.hybrid.solve_newton_raphson", singular)
+    assert main(["--config", str(workdir / "run.yaml"), "--out", str(tmp_path),
+                 "simulate", *flags]) == 1
+    line = _one_error_line(capsys)
+    # the first test-window step: 1 dropped and 3 training days after 2024-01-01
+    assert line == "error: singular Jacobian at Newton iteration 2 at 2024-01-05T00:00:00 (row 0)"
+
+
+def test_nan_load_in_dataset_is_one_line_error(workdir, tmp_path, capsys):
+    rows = (workdir / "out" / "dataset.csv").read_text().splitlines()
+    # data row i is on line i + 2; after 1 dropped and 3 training days of
+    # 48 rows, the test window starts at row 4 * 48
+    lineno = 2 + 4 * 48 + 5
+    cells = rows[lineno - 1].split(",")
+    cells[1] = "nan"
+    rows[lineno - 1] = ",".join(cells)
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("\n".join(rows) + "\n")
+    config = _config_with(workdir, tmp_path, f"dataset: {workdir / 'out'}/dataset.csv",
+                          f"dataset: {dataset}")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"),
+                 "simulate"]) == 1
+    assert _one_error_line(capsys) == (f"error: {dataset}:{lineno}: non-finite value "
+                                       f"in column 'p_0'")
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.sparse.linalg alone costs about 0.25 s of import and 29 MiB of RSS
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, hybridflow.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_tune_single_point(workdir):

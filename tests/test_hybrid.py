@@ -187,3 +187,13 @@ def test_records_csv_round_trip(tmp_path, feeder30, small_dataset, settings):
         assert a.triggering_check == b.triggering_check
         assert a.model_eps_inf_vs_truth == b.model_eps_inf_vs_truth
         assert a.solver_iterations == b.solver_iterations
+
+
+def test_nan_load_names_the_step(net4, settings):
+    model = perfect_surrogate(net4, settings)
+    series = constant_series(net4, T=4)
+    series.P[2, 0] = np.nan
+    # the NaN reaches the step-change check through the model's prediction
+    with pytest.raises(SimulationError,
+                       match=r"non-finite .* at 2024-01-01T00:10:00 \(row 2\)$"):
+        run_series(model, net4, series, HybridConfig(), settings)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hybridflow.netmodel import Bus, Line, make_network
-from hybridflow.solver import (SingularJacobianError, SolverSettings,
+from hybridflow.netmodel import PQ, SLACK, Bus, Line, make_network
+from hybridflow.solver import (SingularJacobianError, SolverSettings, _jacobian,
                                power_mismatch, solve_newton_raphson)
-from tests.oracles import solve_gauss_seidel
+from tests.oracles import jacobian_dense, solve_gauss_seidel, solve_newton_dense
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +159,46 @@ def test_slack_pinned(feeder30, settings):
     slack = feeder30.slack_index
     assert sol.v[slack] == 1.0
     assert sol.a[slack] == 0.0
+
+
+@pytest.mark.parametrize("name", ["net4", "feeder30"])
+def test_jacobian_matches_dense_oracle(name, request, settings):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(7)
+    p = rng.uniform(0.001, 0.015, network.n_loads)
+    sol = solve_newton_raphson(network, p, 0.3 * p, None, settings)
+    # a loaded operating point, nudged off the solution so S != injections
+    v = sol.v * (1.0 + 0.01 * rng.standard_normal(network.n_bus))
+    a = sol.a + 0.01 * rng.standard_normal(network.n_bus)
+    V = v * np.exp(1j * a)
+    pq = network.pq_indices
+    Sp = V[pq] * np.conj((network.Y @ V)[pq])
+    J = _jacobian(network.Y[np.ix_(pq, pq)], V[pq], Sp)
+    np.testing.assert_allclose(J, jacobian_dense(network.Y, V, pq), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["net4", "feeder30"])
+def test_cached_index_sets_match_buses(name, request):
+    network = request.getfixturevalue(name)
+    buses = network.buses
+    assert network.slack_index == next(b.id for b in buses if b.kind == SLACK)
+    assert network.pq_indices.tolist() == [b.id for b in buses if b.kind == PQ]
+    by_load = sorted((b.load_attachment, b.id) for b in buses
+                     if b.load_attachment is not None)
+    assert network.load_buses.tolist() == [bus for _, bus in by_load]
+    for attr in ("pq_indices", "load_buses"):
+        arr = getattr(network, attr)
+        assert getattr(network, attr) is arr  # computed once per network
+        assert not arr.flags.writeable
+
+
+def test_iterations_match_dense_oracle_warm_started(feeder30, small_series, settings):
+    fast = dense = None
+    for t in range(200):
+        p, q = small_series.P[t], small_series.Q[t]
+        fast = solve_newton_raphson(feeder30, p, q, fast, settings)
+        dense = solve_newton_dense(feeder30, p, q, dense, settings)
+        assert fast.converged and dense.converged
+        assert fast.iterations == dense.iterations, t
+        assert np.max(np.abs(fast.v - dense.v)) < 1e-12
+        assert np.max(np.abs(fast.a - dense.a)) < 1e-12

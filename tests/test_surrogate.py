@@ -247,6 +247,17 @@ def test_predict_equals_manual_evaluation():
     assert np.array_equal(a, y[n_v:])
 
 
+def test_batch_matches_single_rows():
+    data, _, _ = linear_dataset(noise=0.01, T=300)
+    model = train(data, method=sg.KMEANS, n_c=4, seed=2)
+    rows = evaluate(model, data.inputs)
+    assert len(rows) == data.n_steps
+    for x, (assignment, v, a) in zip(data.inputs, rows):
+        single, v1, a1 = evaluate(model, x)
+        assert assignment == single
+        assert np.array_equal(v, v1) and np.array_equal(a, a1)
+
+
 def test_clustering_improves_mode_structured_fit(small_dataset, small_spec):
     from hybridflow.loadgen import mode_labels
     from hybridflow.metrics import eps_inf
