@@ -3,7 +3,7 @@
 7-cluster surrogate, run the hybrid simulation and a pure-solver
 baseline, then sweep the error-check grid on the calibration days.
 
-    python3 scripts/run_full_study.py [--out OUT_DIR] [--jobs N]
+    python3 scripts/run_full_study.py [--out OUT_DIR]
 
 Products land in OUT_DIR (default `out/` next to the config): dataset,
 model, step records, summary, error histogram, and sweep tables.
@@ -26,7 +26,6 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "full_study.yaml"
 def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     args = parser.parse_args(argv)
 
     base = ["--config", str(CONFIG)]
@@ -51,8 +50,7 @@ def run(argv=None):
                             values=[1e-4, 1e-3, 1e-2, 1e-1],
                             values2=[2, 6, 12, 24],
                             base_config=config.hybrid)
-    results = tuning.sweep(spec, model, network, test_set.series(), config.solver,
-                           jobs=args.jobs)
+    results = tuning.sweep(spec, model, network, test_set.series(), config.solver)
     tuning.write_sweep(results, config.out / "sweep_error_grid.csv")
     best = tuning.recommend(results, max_error_budget=0.01)
     if best is not None:

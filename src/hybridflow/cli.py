@@ -77,15 +77,14 @@ def cmd_simulate(config: RunConfig, pure_solver: bool = False) -> None:
 
 
 def cmd_tune(config: RunConfig, parameter: str, values: list[float],
-             values2: list[float] | None, calibration_days: tuple[int, int],
-             jobs: int) -> None:
+             values2: list[float] | None, calibration_days: tuple[int, int]) -> None:
     network = config.load_network()
     series = _test_set(config).series()
     model = sg.load(config.resolve(config.surrogate.model_file))
     spec = tuning.SweepSpec(parameter=parameter, values=values, values2=values2,
                             calibration_days=calibration_days,
                             base_config=config.hybrid)
-    results = tuning.sweep(spec, model, network, series, config.solver, jobs=jobs)
+    results = tuning.sweep(spec, model, network, series, config.solver)
     out = config.out / f"sweep_{parameter}.csv"
     tuning.write_sweep(results, out)
     _progress(f"tune: {len(results)} grid points -> {out}")
@@ -130,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated max_check_interval grid (2-D sweep)")
     p_tune.add_argument("--calibration-days", default="0,1",
                         help="day range within the test set, e.g. 0,1")
-    p_tune.add_argument("--jobs", type=int, default=1)
 
     p_rep = sub.add_parser("report", help="summarize a records CSV")
     p_rep.add_argument("--records", required=True)
@@ -154,8 +152,7 @@ def main(argv=None) -> int:
             lo, hi = (int(x) for x in args.calibration_days.split(","))
             if not args.values:
                 raise tuning.TuningError("empty sweep grid")
-            cmd_tune(config, args.parameter, args.values, args.values2,
-                     (lo, hi), args.jobs)
+            cmd_tune(config, args.parameter, args.values, args.values2, (lo, hi))
         elif args.command == "report":
             cmd_report(config, args.records, args.bin_width, args.clip)
     except (ConfigError, ds.DatasetError, tuning.TuningError, sg.SurrogateError,

@@ -71,19 +71,22 @@ def load_bundled_or_path(path) -> Network:
     raise ConfigError(f"network file not found: {path}")
 
 
-def _section(raw: dict, key: str, schema=None) -> dict:
-    """The mapping under `key`; with a dataclass `schema`, only its field
-    names are accepted, so a removed or misspelt key is not ignored."""
+def _keys(schema) -> set[str]:
+    return {f.name for f in fields(schema)}
+
+
+def _section(raw: dict, key: str, allowed: set[str]) -> dict:
+    """The mapping under `key`; only the `allowed` key names are accepted,
+    so a removed or misspelt key is not ignored."""
     value = raw.get(key, {})
     if value is None:
         value = {}
     if not isinstance(value, dict):
         raise ConfigError(f"section {key!r} must be a mapping")
-    if schema is not None:
-        unknown = set(value) - {f.name for f in fields(schema)}
-        if unknown:
-            raise ConfigError(f"unknown key in section {key!r}: "
-                              f"{', '.join(sorted(map(str, unknown)))}")
+    unknown = set(value) - allowed
+    if unknown:
+        raise ConfigError(f"unknown key in section {key!r}: "
+                          f"{', '.join(sorted(map(str, unknown)))}")
     return value
 
 
@@ -97,7 +100,8 @@ def load_config(path, seed_override: int | None = None,
     if "network" not in raw:
         raise ConfigError(f"{path}: missing required key 'network'")
 
-    ls = _section(raw, "load_spec")
+    # the modes come from default_modes(base_level), not from the file
+    ls = _section(raw, "load_spec", _keys(LoadProfileSpec) - {"modes"} | {"base_level"})
     load_spec = None
     if ls:
         base_level = float(ls.get("base_level", 0.01))
@@ -114,12 +118,12 @@ def load_config(path, seed_override: int | None = None,
         if seed_override is not None:
             load_spec.seed = seed_override
 
-    sp = _section(raw, "split")
+    sp = _section(raw, "split", _keys(SplitSpec))
     split = SplitSpec(drop_days=int(sp.get("drop_days", 3)),
                       train_days=int(sp.get("train_days", 7)),
                       test_days=int(sp.get("test_days", 18)))
 
-    sg = _section(raw, "surrogate")
+    sg = _section(raw, "surrogate", _keys(SurrogateSettings))
     surrogate = SurrogateSettings(
         method=str(sg.get("method", "kmeans")),
         n_clusters=int(sg.get("n_clusters", 7)),
@@ -129,7 +133,7 @@ def load_config(path, seed_override: int | None = None,
         model_file=str(sg.get("model_file", "surrogate.json")),
     )
 
-    hy = _section(raw, "hybrid", HybridConfig)
+    hy = _section(raw, "hybrid", _keys(HybridConfig))
     dpt = hy.get("distance_percentile_threshold", None)
     sct = hy.get("step_change_threshold", 0.20)
     hybrid = HybridConfig(
@@ -140,7 +144,7 @@ def load_config(path, seed_override: int | None = None,
         error_check_enabled=bool(hy.get("error_check_enabled", True)),
     )
 
-    so = _section(raw, "solver", SolverSettings)
+    so = _section(raw, "solver", _keys(SolverSettings))
     solver = SolverSettings(
         mismatch_tolerance=float(so.get("mismatch_tolerance", 1e-8)),
         max_iterations=int(so.get("max_iterations", 50)),

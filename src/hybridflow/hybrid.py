@@ -1,10 +1,11 @@
 """Solver/model switching engine for quasi-steady-state time series.
 
-At each timestep the surrogate prediction is screened by up to three
-gates (distance percentile, step change, error check with a staleness
-cap). If any gate fires, the physics solver runs instead, the model's
-error against the solver is stored for future gating, and the solver is
-warm-started from the last accepted solution.
+At each timestep the surrogate prediction, evaluated for the whole series
+before the loop, is screened by up to three gates (distance percentile,
+step change, error check with a staleness cap). If any gate fires, the
+physics solver runs instead, the model's error against the solver is
+stored for future gating, and the solver is warm-started from the last
+accepted solution.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .netmodel import Network
 from .report import RunSummary, summarize
 from .solver import (MODEL, SOLVER, SingularJacobianError, SolverSettings,
                      VoltageSolution, solve_newton_raphson)
-
-# rows per batched surrogate evaluation; whole-window batches of a few MiB
-# left peak RSS bimodal, up to 6 MiB above per-step evaluation
-BATCH_ROWS = 512
 
 # triggering_check values
 FORCED_FIRST = "forced_first"
@@ -75,24 +72,20 @@ class StepRecord:
     wall_time: float = 0.0
 
 
-def step(state: HybridState, surrogate: sg.ClusteredSurrogate, network: Network,
-         p_t: np.ndarray, q_t: np.ndarray, config: HybridConfig,
-         settings: SolverSettings,
-         timestamp: np.datetime64 | None = None,
-         prediction: sg.Evaluation | None = None
+def step(state: HybridState, prediction: tuple[np.ndarray, np.ndarray, float],
+         network: Network, p_t: np.ndarray, q_t: np.ndarray, config: HybridConfig,
+         settings: SolverSettings, timestamp: np.datetime64 | None = None
          ) -> tuple[VoltageSolution, StepRecord, HybridState]:
     """One timestep: gate evaluation, then model acceptance or a solve.
 
+    `prediction` is this step's surrogate output `(v, a, percentile)`.
     Updates `state` in place and returns it with the accepted solution
     and the step's record. Gate order (attribution only; the model/solver
     decision is the same under any order): distance, step change,
-    staleness, stored error. `prediction` is this step's `sg.evaluate`
-    result when the caller has it already.
+    staleness, stored error.
     """
     start = time.perf_counter()
-    if prediction is None:
-        prediction = sg.evaluate(surrogate, np.concatenate([p_t, q_t]))
-    assignment, pred_v, pred_a = prediction
+    pred_v, pred_a, percentile = prediction
 
     trigger = None
     if state.last_accepted is None:
@@ -100,7 +93,7 @@ def step(state: HybridState, surrogate: sg.ClusteredSurrogate, network: Network,
     else:
         last = state.last_accepted
         if (trigger is None and config.distance_percentile_threshold is not None
-                and assignment.distance_percentile >= config.distance_percentile_threshold):
+                and percentile >= config.distance_percentile_threshold):
             trigger = DISTANCE
         if (trigger is None and config.step_change_threshold is not None
                 and eps_inf(pred_v, pred_a, last.v, last.a) >= config.step_change_threshold):
@@ -141,44 +134,50 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
     """Sequential hybrid simulation over a load series.
 
     ground_truth, when given, is (v, a) matrices aligned with the series;
-    each record then carries the accepted output's error against truth.
+    each record then carries the accepted output's error against truth,
+    scored for all steps in one pass after the loop.
     """
+    stamps = load_series.timestamps
+    start = time.perf_counter()
+    pred = sg.evaluate(surrogate, np.hstack([load_series.P, load_series.Q]))
+    # the evaluation time is spread evenly over the steps' wall times
+    share = (time.perf_counter() - start) / max(load_series.n_steps, 1)
+    finite = (np.isfinite(pred.v) & np.isfinite(pred.a)).all(axis=1)
+    if not finite.all():
+        t = int(finite.argmin())
+        raise SimulationError(f"non-finite model prediction at {stamps[t]} (row {t})")
     state = HybridState()
     solutions = []
     records = []
-    # the model path does not depend on the state: it is evaluated in
-    # batches before the loop, their time spread evenly over the steps
-    start = time.perf_counter()
-    predictions = []
-    for lo in range(0, load_series.n_steps, BATCH_ROWS):
-        rows = slice(lo, lo + BATCH_ROWS)
-        predictions += sg.evaluate(surrogate, np.hstack([load_series.P[rows],
-                                                         load_series.Q[rows]]))
-    share = (time.perf_counter() - start) / max(load_series.n_steps, 1)
     # the loop allocates no reference cycles; pausing the cyclic
     # collector keeps its pauses out of the per-step wall times
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for t in range(load_series.n_steps):
-            stamp = load_series.timestamps[t]
             try:  # a failure anywhere in the step ends the run naming it
-                solution, record, state = step(state, surrogate, network,
+                prediction = (pred.v[t], pred.a[t], pred.percentile[t])
+                solution, record, state = step(state, prediction, network,
                                                load_series.P[t], load_series.Q[t],
-                                               config, settings, timestamp=stamp,
-                                               prediction=predictions[t])
-                record.wall_time += share
-                if ground_truth is not None:
-                    record.model_eps_inf_vs_truth = eps_inf(solution.v, solution.a,
-                                                            ground_truth[0][t],
-                                                            ground_truth[1][t])
+                                               config, settings, timestamp=stamps[t])
             except (SimulationError, SingularJacobianError, MetricError) as exc:
-                raise SimulationError(f"{exc} at {stamp} (row {t})") from None
+                raise SimulationError(f"{exc} at {stamps[t]} (row {t})") from None
+            record.wall_time += share
             solutions.append(solution)
             records.append(record)
     finally:
         if gc_was_enabled:
             gc.enable()
+    if ground_truth is not None:
+        try:
+            errors = eps_inf(np.array([s.v for s in solutions]),
+                             np.array([s.a for s in solutions]), *ground_truth)
+        except MetricError as exc:
+            if exc.row is None:  # truth not aligned with the series
+                raise
+            raise SimulationError(f"{exc} at {stamps[exc.row]} (row {exc.row})") from None
+        for record, error in zip(records, errors.tolist()):
+            record.model_eps_inf_vs_truth = error
     summary = summarize(records, threshold=config.error_check_threshold)
     return solutions, records, summary
 

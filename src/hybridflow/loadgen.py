@@ -77,6 +77,7 @@ def default_modes(base_level: float = 0.01) -> list[ModeSpec]:
 
 
 def validate_spec(spec: LoadProfileSpec) -> None:
+    """Scalar checks; `mode_table` checks how the modes cover the week."""
     if spec.duration_days < 1:
         raise LoadSpecError("duration_days must be >= 1")
     if spec.n_loads < 1:
@@ -85,7 +86,12 @@ def validate_spec(spec: LoadProfileSpec) -> None:
         raise LoadSpecError(f"resolution {spec.resolution_minutes} min does not divide 1440")
     if not (0.0 < spec.min_power_factor <= 1.0):
         raise LoadSpecError("min_power_factor must be in (0, 1]")
-    coverage = np.full(MINUTES_PER_WEEK, -1, dtype=int)
+
+
+def mode_table(spec: LoadProfileSpec) -> np.ndarray:
+    """Mode index for every minute of the week; each minute must be
+    covered by exactly one mode."""
+    table = np.full(MINUTES_PER_WEEK, -1, dtype=int)
     for m, mode in enumerate(spec.modes):
         if not (0 <= mode.start_minute < mode.end_minute <= MINUTES_PER_DAY):
             raise LoadSpecError(f"mode {mode.name!r} has invalid window "
@@ -93,24 +99,14 @@ def validate_spec(spec: LoadProfileSpec) -> None:
         for day in mode.days:
             lo = day * MINUTES_PER_DAY + mode.start_minute
             hi = day * MINUTES_PER_DAY + mode.end_minute
-            clash = coverage[lo:hi] >= 0
+            clash = table[lo:hi] >= 0
             if clash.any():
-                other = spec.modes[coverage[lo:hi][clash][0]].name
+                other = spec.modes[table[lo:hi][clash][0]].name
                 raise LoadSpecError(f"modes {mode.name!r} and {other!r} overlap")
-            coverage[lo:hi] = m
-    if (coverage < 0).any():
-        minute = int(np.argmin(coverage >= 0))
-        raise LoadSpecError(f"minute-of-week {minute} is covered by no mode")
-
-
-def mode_table(spec: LoadProfileSpec) -> np.ndarray:
-    """Mode index for every minute of the week."""
-    table = np.full(MINUTES_PER_WEEK, -1, dtype=int)
-    for m, mode in enumerate(spec.modes):
-        for day in mode.days:
-            lo = day * MINUTES_PER_DAY + mode.start_minute
-            hi = day * MINUTES_PER_DAY + mode.end_minute
             table[lo:hi] = m
+    if (table < 0).any():
+        minute = int(np.argmin(table >= 0))
+        raise LoadSpecError(f"minute-of-week {minute} is covered by no mode")
     return table
 
 

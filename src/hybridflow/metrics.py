@@ -3,7 +3,8 @@
 Per bus, predicted and true (magnitude, angle) pairs are compared in
 rectangular coordinates: the error is the chord length between the two
 complex voltages divided by the true voltage's norm. The aggregate is
-the maximum over buses.
+the maximum over buses: one per vector of n_v buses, or one per row of a
+[T, n_v] batch of T steps.
 """
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ import numpy as np
 
 
 class MetricError(ValueError):
-    """Raised for non-finite metric inputs."""
+    """Raised for non-finite metric inputs; `row` is the first offending
+    row of a batch (None for a single vector)."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass
 class ErrorReport:
-    per_bus: np.ndarray
-    eps_inf: float
-    worst_bus: int
+    per_bus: np.ndarray                # [n_v] or [T, n_v]
+    eps_inf: float | np.ndarray        # a float, or [T] for a batch
+    worst_bus: int | np.ndarray        # an int, or [T] for a batch
 
 
 def vector_error(pred_v: np.ndarray, pred_a: np.ndarray,
@@ -42,12 +48,20 @@ def vector_error(pred_v: np.ndarray, pred_a: np.ndarray,
     per_bus = np.divide(diff, norm, out=diff, where=norm > 0.0)
     # NaN/inf in any input propagates here and argmax prefers it to any
     # finite value, so checking the worst bus covers all four
-    worst = int(per_bus.argmax())
-    if not math.isfinite(per_bus[worst]):
-        raise MetricError("non-finite value in metric input")
-    return ErrorReport(per_bus=per_bus, eps_inf=float(per_bus[worst]), worst_bus=worst)
+    worst = per_bus.argmax(axis=-1)
+    if per_bus.ndim == 1:  # the per-step gate checks: stay on scalar code
+        eps = float(per_bus[worst])
+        if not math.isfinite(eps):
+            raise MetricError("non-finite value in metric input")
+        return ErrorReport(per_bus=per_bus, eps_inf=eps, worst_bus=int(worst))
+    eps = per_bus[np.arange(len(per_bus)), worst]
+    finite = np.isfinite(eps)
+    if not finite.all():
+        raise MetricError("non-finite value in metric input", row=int(finite.argmin()))
+    return ErrorReport(per_bus=per_bus, eps_inf=eps, worst_bus=worst)
 
 
-def eps_inf(pred_v, pred_a, true_v, true_a) -> float:
-    """Scalar aggregate of vector_error."""
+def eps_inf(pred_v, pred_a, true_v, true_a) -> float | np.ndarray:
+    """Worst-bus aggregate of vector_error: a float for one vector, [T]
+    for a [T, n_v] batch."""
     return vector_error(pred_v, pred_a, true_v, true_a).eps_inf

@@ -32,7 +32,6 @@ class NetworkStructureError(ValueError):
 class Bus:
     id: int
     kind: str = PQ  # "slack" or "pq"
-    base_voltage: float = 1.0
     load_attachment: int | None = None  # index into the load vector, or None
 
 
@@ -187,7 +186,6 @@ def load_network(path) -> Network:
         Bus(
             id=int(entry["id"]),
             kind=str(entry.get("kind", PQ)),
-            base_voltage=float(entry.get("base_voltage", 1.0)),
             load_attachment=(int(entry["load"]) if "load" in entry and entry["load"] is not None
                              else None),
         )

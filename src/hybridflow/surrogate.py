@@ -4,8 +4,9 @@ Inputs x = (p, q) are z-scored with train-set statistics (mean 0 and
 scale 1 when trained without standardization) before both clustering
 distances and regression. Each cluster k of similar inputs gets one
 least-squares map, (v, a) = coef[k] @ xs + intercept[k], whose first n_v
-rows give voltage magnitudes and last n_v rows angles. New inputs are
-routed to the nearest cluster center and evaluated with that cluster's map.
+rows give voltage magnitudes and last n_v rows angles. `evaluate` takes
+a [T, 2*n_p] batch, routes each row to the nearest cluster center, maps
+it with that cluster's map, and returns one `Evaluation` of arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
+from .loadgen import MINUTES_PER_DAY, minute_of_week
 
 KMEANS = "kmeans"
 DAY_OF_WEEK = "day_of_week"
@@ -29,13 +31,13 @@ class SurrogateError(ValueError):
 
 
 @dataclass
-class ClusterAssignment:
-    cluster_index: int
-    distance: float
-    distance_percentile: float     # nearest-rank against train_distances
-
-
-Evaluation = tuple[ClusterAssignment, np.ndarray, np.ndarray]  # (assignment, v, a)
+class Evaluation:
+    """Surrogate output for a batch of T inputs."""
+    cluster: np.ndarray            # [T] nearest center, ties to the lowest index
+    distance: np.ndarray           # [T] distance to it, in standardized space
+    percentile: np.ndarray         # [T] nearest rank against train_distances
+    v: np.ndarray                  # [T, n_v] voltage magnitudes
+    a: np.ndarray                  # [T, n_v] voltage angles
 
 
 @dataclass
@@ -151,8 +153,7 @@ def kmeans(points: np.ndarray, n_c: int, seed: int = 0, n_restarts: int = 10,
 
 def cluster_day_of_week(timestamps: np.ndarray) -> np.ndarray:
     """Weekday index per timestamp, Monday = 0."""
-    days = timestamps.astype("datetime64[D]").astype(np.int64)
-    return ((days + 3) % 7).astype(int)  # epoch 1970-01-01 is a Thursday
+    return minute_of_week(timestamps) // MINUTES_PER_DAY
 
 
 def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
@@ -212,31 +213,30 @@ def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
                               input_mean=mean, input_scale=scale)
 
 
-def evaluate(surrogate: ClusteredSurrogate, x: np.ndarray) -> Evaluation | list[Evaluation]:
-    """Route an input to its nearest cluster center (ties to the lowest
-    index) and evaluate that cluster's map; returns (assignment, v, a).
-    A batch `x` of shape [T, 2*n_p] returns one such triple per row."""
-    xs = (np.asarray(x, dtype=float) - surrogate.input_mean) / surrogate.input_scale
-    X = np.atleast_2d(xs)
-    d2 = np.empty((len(X), surrogate.n_c))
+def evaluate(surrogate: ClusteredSurrogate, X: np.ndarray) -> Evaluation:
+    """Route each row of a [T, 2*n_p] batch to its nearest cluster center
+    (ties to the lowest index) and evaluate that cluster's map."""
+    Xs = (np.asarray(X, dtype=float) - surrogate.input_mean) / surrogate.input_scale
+    d2 = np.empty((len(Xs), surrogate.n_c))
     for j, center in enumerate(surrogate.centers):
-        diff = X - center
+        diff = Xs - center
         d2[:, j] = np.einsum("ij,ij->i", diff, diff)
     k = d2.argmin(axis=1)
-    d = np.sqrt(d2[np.arange(len(X)), k])
-    percentile = np.full(len(X), 100.0)
+    d = np.sqrt(d2[np.arange(len(Xs)), k])
+    percentile = np.full(len(Xs), 100.0)
     for j, dists in enumerate(surrogate.train_distances):
         if len(dists):  # nearest rank: fraction of training members strictly closer
             members = k == j
             percentile[members] = 100.0 * dists.searchsorted(d[members]) / len(dists)
-    n_v = surrogate.coef.shape[1] // 2
-    rows = []
+    Y = np.empty((len(Xs), surrogate.coef.shape[1]))
     # one matrix-vector product per row: the same sums for a row in any
     # batch, and no multi-threaded BLAS call on a large batch
-    for j, xs_t, d_t, percentile_t in zip(k.tolist(), X, d.tolist(), percentile.tolist()):
-        y = surrogate.coef[j] @ xs_t + surrogate.intercept[j]
-        rows.append((ClusterAssignment(j, d_t, percentile_t), y[:n_v], y[n_v:]))
-    return rows[0] if xs.ndim == 1 else rows
+    for t, (j, xs_t) in enumerate(zip(k.tolist(), Xs)):
+        np.matmul(surrogate.coef[j], xs_t, out=Y[t])
+    Y += surrogate.intercept[k]
+    n_v = Y.shape[1] // 2
+    return Evaluation(cluster=k, distance=d, percentile=percentile,
+                      v=Y[:, :n_v], a=Y[:, n_v:])
 
 
 def save(surrogate: ClusteredSurrogate, path) -> None:

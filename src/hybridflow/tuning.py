@@ -8,7 +8,6 @@ as a CSV table of error quantiles and model-use fractions.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,25 +75,9 @@ def config_for(spec: SweepSpec, value: float, value2: float | None = None) -> Hy
     raise TuningError(f"unknown sweep parameter {spec.parameter!r}")
 
 
-def _evaluate(args):
-    (spec, value, value2, surrogate, network, series, truth, settings) = args
-    config = config_for(spec, value, value2)
-    _, records, _ = run_series(surrogate, network, series, config, settings,
-                               ground_truth=truth)
-    errors = step_errors(records)
-    q25, q50, q75 = np.percentile(errors, [25, 50, 75])
-    model_fraction = np.mean([r.decision == "model" for r in records])
-    max_eps = float(np.max(errors))
-    extreme = max_eps > 10.0 * spec.base_config.error_check_threshold
-    return SweepPoint(parameter=spec.parameter, value=value, value2=value2,
-                      q25=float(q25), q50=float(q50), q75=float(q75),
-                      max_eps=max_eps, model_fraction=float(model_fraction),
-                      extreme=extreme)
-
-
 def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
-          test_series: LoadSeries, settings: SolverSettings | None = None,
-          jobs: int = 1) -> list[SweepPoint]:
+          test_series: LoadSeries, settings: SolverSettings | None = None
+          ) -> list[SweepPoint]:
     """Run the grid on the calibration slice of the test series."""
     settings = settings or SolverSettings()
     steps_per_day = 1440 * 60 // int(
@@ -112,14 +95,21 @@ def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
     truth = (np.array([s.v for s in truth_solutions]),
              np.array([s.a for s in truth_solutions]))
 
-    grid = [(v, v2) for v in spec.values
-            for v2 in (spec.values2 if spec.parameter == ERROR_GRID else [None])]
-    tasks = [(spec, v, v2, surrogate, network, series, truth, settings)
-             for v, v2 in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_evaluate, tasks))
-    return [_evaluate(t) for t in tasks]
+    points = []
+    for value in spec.values:
+        for value2 in (spec.values2 if spec.parameter == ERROR_GRID else [None]):
+            config = config_for(spec, value, value2)
+            _, records, _ = run_series(surrogate, network, series, config, settings,
+                                       ground_truth=truth)
+            errors = step_errors(records)
+            q25, q50, q75 = np.percentile(errors, [25, 50, 75])
+            max_eps = float(np.max(errors))
+            points.append(SweepPoint(
+                parameter=spec.parameter, value=value, value2=value2,
+                q25=float(q25), q50=float(q50), q75=float(q75), max_eps=max_eps,
+                model_fraction=float(np.mean([r.decision == "model" for r in records])),
+                extreme=max_eps > 10.0 * spec.base_config.error_check_threshold))
+    return points
 
 
 def recommend(results: list[SweepPoint],

@@ -39,8 +39,10 @@ def perfect_surrogate(network, settings, level=0.01):
 def test_first_step_forces_solver(net4, settings):
     model = perfect_surrogate(net4, settings)
     series = constant_series(net4, T=4)
+    pred = sg.evaluate(model, np.hstack([series.P[:1], series.Q[:1]]))
     state = HybridState()
-    solution, record, state = step(state, model, net4, series.P[0], series.Q[0],
+    solution, record, state = step(state, (pred.v[0], pred.a[0], pred.percentile[0]),
+                                   net4, series.P[0], series.Q[0],
                                    HybridConfig(), settings,
                                    timestamp=series.timestamps[0])
     assert record.decision == SOLVER
@@ -130,22 +132,22 @@ def test_gate_soundness_replay(feeder30, small_dataset, settings):
     stored_error = math.inf
     steps_since = 0
     for t, (r, accepted) in enumerate(zip(records, solutions)):
+        # each step's prediction on its own, not from the run's batch
+        pred = sg.evaluate(model, np.hstack([test_series.P[t:t + 1],
+                                             test_series.Q[t:t + 1]]))
+        pred_v, pred_a = pred.v[0], pred.a[0]
         if t == 0:
             assert r.decision == SOLVER
         else:
-            x = np.concatenate([test_series.P[t], test_series.Q[t]])
-            assignment, pred_v, pred_a = sg.evaluate(model, x)
             prev = solutions[t - 1]
             gates = [
-                assignment.distance_percentile >= config.distance_percentile_threshold,
+                pred.percentile[0] >= config.distance_percentile_threshold,
                 eps_inf(pred_v, pred_a, prev.v, prev.a) >= config.step_change_threshold,
                 steps_since + 1 >= config.max_check_interval,
                 stored_error >= config.error_check_threshold,
             ]
             assert (r.decision == SOLVER) == any(gates)
         if r.decision == SOLVER:
-            x = np.concatenate([test_series.P[t], test_series.Q[t]])
-            _, pred_v, pred_a = sg.evaluate(model, x)
             stored_error = eps_inf(pred_v, pred_a, accepted.v, accepted.a)
             steps_since = 0
         else:
@@ -197,3 +199,26 @@ def test_nan_load_names_the_step(net4, settings):
     with pytest.raises(SimulationError,
                        match=r"non-finite .* at 2024-01-01T00:10:00 \(row 2\)$"):
         run_series(model, net4, series, HybridConfig(), settings)
+
+
+def test_nan_load_without_step_change_names_the_step(net4, settings):
+    model = perfect_surrogate(net4, settings)
+    series = constant_series(net4, T=4)
+    series.P[2, 0] = np.nan
+    # no gate reads the prediction and no truth scores it: the run must
+    # still refuse the non-finite model output rather than accept it
+    config = HybridConfig(step_change_threshold=None)
+    with pytest.raises(SimulationError,
+                       match=r"non-finite .* at 2024-01-01T00:10:00 \(row 2\)$"):
+        run_series(model, net4, series, config, settings)
+
+
+def test_nan_ground_truth_names_the_step(net4, settings):
+    model = perfect_surrogate(net4, settings)
+    series = constant_series(net4, T=4)
+    truth_sols = run_pure_solver(net4, series, settings)
+    truth = (np.array([s.v for s in truth_sols]), np.array([s.a for s in truth_sols]))
+    truth[0][2, 1] = np.nan
+    with pytest.raises(SimulationError,
+                       match=r"non-finite .* at 2024-01-01T00:10:00 \(row 2\)$"):
+        run_series(model, net4, series, HybridConfig(), settings, ground_truth=truth)

@@ -5,7 +5,7 @@ from hybridflow import loadgen
 from hybridflow.hybrid import SimulationError, run_pure_solver
 from hybridflow.loadgen import (LoadProfileSpec, LoadSpecError, ModeSpec,
                                 default_modes, generate, mode_labels,
-                                scaled_spec, validate_spec)
+                                mode_table, scaled_spec, validate_spec)
 from hybridflow.solver import SolverSettings
 from hybridflow.surrogate import kmeans
 
@@ -39,20 +39,21 @@ def test_distinct_seeds_differ():
 
 
 def test_default_modes_cover_week_exactly():
-    validate_spec(LoadProfileSpec(n_loads=2))
+    table = mode_table(LoadProfileSpec(n_loads=2))
+    assert table.min() == 0 and table.max() == len(default_modes()) - 1
 
 
 def test_overlapping_modes_rejected():
     modes = default_modes()
     modes.append(ModeSpec("extra", (0,), 100, 200, 0.01))
     with pytest.raises(LoadSpecError, match="overlap"):
-        validate_spec(LoadProfileSpec(n_loads=2, modes=modes))
+        mode_table(LoadProfileSpec(n_loads=2, modes=modes))
 
 
 def test_uncovered_minutes_rejected():
     modes = [ModeSpec("partial", (0, 1, 2, 3, 4, 5, 6), 0, 1000, 0.01)]
     with pytest.raises(LoadSpecError, match="covered by no mode"):
-        validate_spec(LoadProfileSpec(n_loads=2, modes=modes))
+        mode_table(LoadProfileSpec(n_loads=2, modes=modes))
 
 
 def test_bad_resolution_rejected():

@@ -74,3 +74,24 @@ def test_eps_inf_attains_max_at_worst_bus():
     assert report.eps_inf == report.per_bus.max()
     assert report.per_bus[report.worst_bus] == report.eps_inf
     assert np.all(report.eps_inf >= report.per_bus)
+
+
+def test_batch_reduces_over_last_axis():
+    rng = np.random.default_rng(4)
+    pred_v, true_v = rng.uniform(0.9, 1.1, (2, 6, 5))
+    pred_a, true_a = rng.uniform(-0.2, 0.2, (2, 6, 5))
+    report = vector_error(pred_v, pred_a, true_v, true_a)
+    assert report.eps_inf.shape == report.worst_bus.shape == (6,)
+    for t in range(6):
+        row = vector_error(pred_v[t], pred_a[t], true_v[t], true_a[t])
+        assert report.eps_inf[t] == row.eps_inf
+        assert report.worst_bus[t] == row.worst_bus
+    assert np.array_equal(eps_inf(pred_v, pred_a, true_v, true_a), report.eps_inf)
+
+
+def test_batch_nan_names_first_row():
+    true_v, true_a = np.ones((4, 3)), np.zeros((4, 3))
+    true_v[2, 1] = true_v[3, 0] = np.nan
+    with pytest.raises(MetricError) as info:
+        eps_inf(np.ones((4, 3)), np.zeros((4, 3)), true_v, true_a)
+    assert info.value.row == 2

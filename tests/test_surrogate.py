@@ -157,8 +157,8 @@ def test_method_none_equals_one_cluster():
     s_one = train(data, method=sg.KMEANS, n_c=1, seed=0)
     assert s_none.n_c == 1
     assert np.allclose(s_none.centers, s_one.centers, atol=1e-12)
-    x = data.inputs[17]
-    assert np.allclose(evaluate(s_none, x)[1], evaluate(s_one, x)[1], atol=1e-12)
+    x = data.inputs[17:18]
+    assert np.allclose(evaluate(s_none, x).v, evaluate(s_one, x).v, atol=1e-12)
 
 
 def test_piecewise_linear_regimes_need_clustering():
@@ -176,8 +176,8 @@ def test_piecewise_linear_regimes_need_clustering():
 
     s3 = train(data, method=sg.KMEANS, n_c=3, seed=0)
     s1 = train(data, method=sg.KMEANS, n_c=1, seed=0)
-    err3 = max(abs(evaluate(s3, X[t])[1][0] - Y[t, 0]) for t in range(0, T, 7))
-    err1 = max(abs(evaluate(s1, X[t])[1][0] - Y[t, 0]) for t in range(0, T, 7))
+    err3 = np.max(np.abs(evaluate(s3, X[::7]).v[:, 0] - Y[::7, 0]))
+    err1 = np.max(np.abs(evaluate(s1, X[::7]).v[:, 0] - Y[::7, 0]))
     assert err3 <= 1e-6
     assert err1 > 100 * err3
 
@@ -193,87 +193,90 @@ def test_assign_center_exactly():
     model = train(data, method=sg.KMEANS, n_c=3, seed=0)
     # un-standardize the center to get the raw-space input that maps onto it
     raw = model.centers[1] * model.input_scale + model.input_mean
-    result, _, _ = evaluate(model, raw)
-    assert result.cluster_index == 1
-    assert result.distance == pytest.approx(0.0, abs=1e-12)
-    assert result.distance_percentile == 0.0
+    result = evaluate(model, raw[None, :])
+    assert result.cluster[0] == 1
+    assert result.distance[0] == pytest.approx(0.0, abs=1e-12)
+    assert result.percentile[0] == 0.0
 
 
 def test_assign_far_point_percentile_100():
     data, _, _ = linear_dataset(noise=0.001)
     model = train(data, method=sg.KMEANS, n_c=2, seed=0)
     far = data.inputs[0] + 1e6
-    assert evaluate(model, far)[0].distance_percentile == 100.0
+    assert evaluate(model, far[None, :]).percentile[0] == 100.0
 
 
 def test_assign_matches_linear_scan():
     data, _, _ = linear_dataset(noise=0.001, T=300)
     model = train(data, method=sg.KMEANS, n_c=4, seed=1)
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        x = rng.uniform(0.5, 1.5, data.inputs.shape[1])
+    X = rng.uniform(0.5, 1.5, (20, data.inputs.shape[1]))
+    clusters = evaluate(model, X).cluster
+    for x, cluster in zip(X, clusters):
         xs = (x - model.input_mean) / model.input_scale
         scan = min(range(model.n_c),
                    key=lambda k: (np.linalg.norm(xs - model.centers[k]), k))
-        assert evaluate(model, x)[0].cluster_index == scan
+        assert cluster == scan
 
 
 def test_predict_reproduces_noiseless_training_sample():
     data, _, _ = linear_dataset(noise=0.0)
     model = train(data, method=sg.KMEANS, n_c=2, seed=0)
-    _, v, a = evaluate(model, data.inputs[50])
-    assert np.max(np.abs(v - data.outputs_v[50])) < 1e-9
-    assert np.max(np.abs(a - data.outputs_a[50])) < 1e-9
+    result = evaluate(model, data.inputs[50:51])
+    assert np.max(np.abs(result.v[0] - data.outputs_v[50])) < 1e-9
+    assert np.max(np.abs(result.a[0] - data.outputs_a[50])) < 1e-9
 
 
 def test_zero_input_no_intercept_gives_zero():
     data, _, _ = linear_dataset()
     model = train(data, method=sg.NONE, seed=0, intercept=False, standardize=False)
-    _, v, a = evaluate(model, np.zeros(data.inputs.shape[1]))
-    assert np.allclose(v, 0.0, atol=1e-12)
-    assert np.allclose(a, 0.0, atol=1e-12)
+    result = evaluate(model, np.zeros((1, data.inputs.shape[1])))
+    assert np.allclose(result.v, 0.0, atol=1e-12)
+    assert np.allclose(result.a, 0.0, atol=1e-12)
 
 
 def test_predict_equals_manual_evaluation():
     data, _, _ = linear_dataset(noise=0.01)
     model = train(data, method=sg.KMEANS, n_c=2, seed=0)
     x = data.inputs[123]
-    result, v, a = evaluate(model, x)
-    k = result.cluster_index
+    result = evaluate(model, x[None, :])
+    k = result.cluster[0]
     xs = (x - model.input_mean) / model.input_scale
     y = model.coef[k] @ xs + model.intercept[k]
     n_v = data.n_voltages
-    assert np.array_equal(v, y[:n_v])
-    assert np.array_equal(a, y[n_v:])
+    assert np.array_equal(result.v[0], y[:n_v])
+    assert np.array_equal(result.a[0], y[n_v:])
 
 
 def test_batch_matches_single_rows():
     data, _, _ = linear_dataset(noise=0.01, T=300)
     model = train(data, method=sg.KMEANS, n_c=4, seed=2)
-    rows = evaluate(model, data.inputs)
-    assert len(rows) == data.n_steps
-    for x, (assignment, v, a) in zip(data.inputs, rows):
-        single, v1, a1 = evaluate(model, x)
-        assert assignment == single
-        assert np.array_equal(v, v1) and np.array_equal(a, a1)
+    batch = evaluate(model, data.inputs)
+    T, n_v = data.n_steps, data.n_voltages
+    assert batch.cluster.shape == batch.distance.shape == batch.percentile.shape == (T,)
+    assert batch.v.shape == batch.a.shape == (T, n_v)
+    for t in range(T):
+        single = evaluate(model, data.inputs[t:t + 1])
+        assert batch.cluster[t] == single.cluster[0]
+        assert batch.distance[t] == single.distance[0]
+        assert batch.percentile[t] == single.percentile[0]
+        assert np.array_equal(batch.v[t], single.v[0])
+        assert np.array_equal(batch.a[t], single.a[0])
+
 
 
 def test_clustering_improves_mode_structured_fit(small_dataset, small_spec):
-    from hybridflow.loadgen import mode_labels
     from hybridflow.metrics import eps_inf
 
     n_modes = len(small_spec.modes)
     s_multi = train(small_dataset, method=sg.KMEANS, n_c=n_modes, seed=0)
     s_single = train(small_dataset, method=sg.KMEANS, n_c=1, seed=0)
-    wins = 0
-    T = small_dataset.n_steps
-    for t in range(T):
-        x = small_dataset.inputs[t]
-        truth_v, truth_a = small_dataset.outputs_v[t], small_dataset.outputs_a[t]
-        e_multi = eps_inf(*evaluate(s_multi, x)[1:], truth_v, truth_a)
-        e_single = eps_inf(*evaluate(s_single, x)[1:], truth_v, truth_a)
-        wins += e_multi <= e_single
-    assert wins / T >= 0.90
+    truth = (small_dataset.outputs_v, small_dataset.outputs_a)
+    multi = evaluate(s_multi, small_dataset.inputs)
+    single = evaluate(s_single, small_dataset.inputs)
+    e_multi = eps_inf(multi.v, multi.a, *truth)
+    e_single = eps_inf(single.v, single.a, *truth)
+    assert np.mean(e_multi <= e_single) >= 0.90
 
 
 def test_serialization_round_trip(tmp_path):
@@ -288,8 +291,8 @@ def test_serialization_round_trip(tmp_path):
         assert loaded.n_c == model.n_c
         for name in ("centers", "coef", "intercept", "input_mean", "input_scale"):
             assert np.array_equal(getattr(loaded, name), getattr(model, name))
-        x = data.inputs[3]
-        assert np.array_equal(evaluate(loaded, x)[1], evaluate(model, x)[1])
+        x = data.inputs[3:4]
+        assert np.array_equal(evaluate(loaded, x).v, evaluate(model, x).v)
     assert not loaded.intercept.any()
     assert not loaded.input_mean.any() and (loaded.input_scale == 1.0).all()
 

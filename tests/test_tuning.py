@@ -91,15 +91,6 @@ def test_sweep_deterministic(trained, feeder30, test_slice, settings):
         == [(b.q50, b.max_eps, b.model_fraction) for b in r2]
 
 
-def test_sweep_parallel_matches_serial(trained, feeder30, test_slice, settings):
-    spec = SweepSpec(parameter=STEP_CHANGE, values=[0.05, 0.2])
-    series = test_slice.series()
-    serial = sweep(spec, trained, feeder30, series, settings, jobs=1)
-    parallel = sweep(spec, trained, feeder30, series, settings, jobs=2)
-    assert [(a.value, a.q50, a.model_fraction) for a in serial] \
-        == [(b.value, b.q50, b.model_fraction) for b in parallel]
-
-
 def test_recommend_picks_highest_model_use(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_THRESHOLD, values=[1e-7, 1e-4, 1e-2])
     results = sweep(spec, trained, feeder30, test_slice.series(), settings)
