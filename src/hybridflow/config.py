@@ -141,7 +141,6 @@ def load_config(path, seed_override: int | None = None,
         max_check_interval=int(hy.get("max_check_interval", 12)),
         distance_percentile_threshold=(None if dpt is None else float(dpt)),
         step_change_threshold=(None if sct is None else float(sct)),
-        error_check_enabled=bool(hy.get("error_check_enabled", True)),
     )
 
     so = _section(raw, "solver", _keys(SolverSettings))

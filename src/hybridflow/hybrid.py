@@ -1,11 +1,11 @@
 """Solver/model switching engine for quasi-steady-state time series.
 
-At each timestep the surrogate prediction, evaluated for the whole series
-before the loop, is screened by up to three gates (distance percentile,
-step change, error check with a staleness cap). If any gate fires, the
-physics solver runs instead, the model's error against the solver is
-stored for future gating, and the solver is warm-started from the last
-accepted solution.
+Before the loop, the surrogate is evaluated for the whole series and the
+input gates (distance percentile, relative load step change) are computed
+as one array. A step goes to the physics solver when its input gate fired,
+the staleness cap is reached or the model's error at the last solve was
+over budget. Each solve is warm-started from the last accepted solution
+and stores the model's error against it for the error check.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ STEP_CHANGE = "step_change"
 ERROR_STALE = "error_stale"
 ERROR_HIGH = "error_high"
 
+# pu; relative load changes are taken against at least this magnitude, so a
+# return from a zero load registers (the smallest generated load is 2.3e-3)
+LOAD_FLOOR = 1e-3
+
 
 class SimulationError(RuntimeError):
     """Solver failure during a hybrid run; never papered over by the model."""
@@ -41,17 +45,16 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class HybridConfig:
-    error_check_threshold: float = 0.01
+    error_check_threshold: float = 0.01     # always on; also the run's error budget
     max_check_interval: int = 12            # steps; 60 min at 5-min resolution
-    # None switches a check off; distance is off by default: adds cost, rarely fires
+    # None switches an input gate off; distance is off by default: adds cost, rarely fires
     distance_percentile_threshold: float | None = None
-    step_change_threshold: float | None = 0.20
-    error_check_enabled: bool = True
+    step_change_threshold: float | None = 0.20  # relative change of any load
 
     def __post_init__(self):
         if self.max_check_interval < 1:
             raise ValueError("max_check_interval must be >= 1")
-        if self.error_check_enabled and self.error_check_threshold < 0:
+        if self.error_check_threshold < 0:
             raise ValueError("error_check_threshold must be >= 0")
 
 
@@ -72,38 +75,44 @@ class StepRecord:
     wall_time: float = 0.0
 
 
-def step(state: HybridState, prediction: tuple[np.ndarray, np.ndarray, float],
+def input_gates(X: np.ndarray, percentile: np.ndarray,
+                config: HybridConfig) -> np.ndarray:
+    """Per-step input gate: DISTANCE, STEP_CHANGE or None.
+
+    `X` is the `[T, 2*n_p]` input [P, Q] and `percentile` its `[T]`
+    distance percentiles. Step change compares each row with the one
+    before, so row 0 never fires it. DISTANCE wins where both fire.
+    """
+    step_change = np.zeros(len(X), dtype=bool)
+    if config.step_change_threshold is not None:
+        change = np.abs(X[1:] - X[:-1]) / np.maximum(np.abs(X[:-1]), LOAD_FLOOR)
+        step_change[1:] = change.max(axis=1) >= config.step_change_threshold
+    gates = np.where(step_change, STEP_CHANGE, None)
+    if config.distance_percentile_threshold is not None:
+        gates[percentile >= config.distance_percentile_threshold] = DISTANCE
+    return gates
+
+
+def step(state: HybridState, prediction: tuple[np.ndarray, np.ndarray, str | None],
          network: Network, p_t: np.ndarray, q_t: np.ndarray, config: HybridConfig,
          settings: SolverSettings, timestamp: np.datetime64 | None = None
          ) -> tuple[VoltageSolution, StepRecord, HybridState]:
-    """One timestep: gate evaluation, then model acceptance or a solve.
+    """One timestep: model acceptance or a solve.
 
-    `prediction` is this step's surrogate output `(v, a, percentile)`.
-    Updates `state` in place and returns it with the accepted solution
-    and the step's record. Gate order (attribution only; the model/solver
-    decision is the same under any order): distance, step change,
-    staleness, stored error.
+    `prediction` is this step's surrogate output and input gate
+    `(v, a, gate)`, the gate from `input_gates`. Updates `state` in place
+    and returns it with the accepted solution and the step's record. The
+    first step always solves; otherwise the attribution order is input
+    gate, staleness, stored error (the decision is the same in any order).
     """
     start = time.perf_counter()
-    pred_v, pred_a, percentile = prediction
-
-    trigger = None
+    pred_v, pred_a, trigger = prediction
     if state.last_accepted is None:
         trigger = FORCED_FIRST
-    else:
-        last = state.last_accepted
-        if (trigger is None and config.distance_percentile_threshold is not None
-                and percentile >= config.distance_percentile_threshold):
-            trigger = DISTANCE
-        if (trigger is None and config.step_change_threshold is not None
-                and eps_inf(pred_v, pred_a, last.v, last.a) >= config.step_change_threshold):
-            trigger = STEP_CHANGE
-        if (trigger is None and config.error_check_enabled
-                and state.steps_since_check + 1 >= config.max_check_interval):
-            trigger = ERROR_STALE
-        if (trigger is None and config.error_check_enabled
-                and state.last_observed_model_error >= config.error_check_threshold):
-            trigger = ERROR_HIGH
+    elif trigger is None and state.steps_since_check + 1 >= config.max_check_interval:
+        trigger = ERROR_STALE
+    elif trigger is None and state.last_observed_model_error >= config.error_check_threshold:
+        trigger = ERROR_HIGH
 
     if trigger is not None:
         guess = state.last_accepted if settings.warm_start else None
@@ -139,8 +148,10 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
     """
     stamps = load_series.timestamps
     start = time.perf_counter()
-    pred = sg.evaluate(surrogate, np.hstack([load_series.P, load_series.Q]))
-    # the evaluation time is spread evenly over the steps' wall times
+    X = np.hstack([load_series.P, load_series.Q])
+    pred = sg.evaluate(surrogate, X)
+    gates = input_gates(X, pred.percentile, config)
+    # the evaluation and gate time is spread evenly over the steps' wall times
     share = (time.perf_counter() - start) / max(load_series.n_steps, 1)
     finite = (np.isfinite(pred.v) & np.isfinite(pred.a)).all(axis=1)
     if not finite.all():
@@ -156,7 +167,7 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
     try:
         for t in range(load_series.n_steps):
             try:  # a failure anywhere in the step ends the run naming it
-                prediction = (pred.v[t], pred.a[t], pred.percentile[t])
+                prediction = (pred.v[t], pred.a[t], gates[t])
                 solution, record, state = step(state, prediction, network,
                                                load_series.P[t], load_series.Q[t],
                                                config, settings, timestamp=stamps[t])

@@ -10,7 +10,7 @@ seeded multiplicative noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,11 +116,6 @@ def minute_of_week(timestamps: np.ndarray) -> np.ndarray:
     return (minutes + 3 * MINUTES_PER_DAY) % MINUTES_PER_WEEK
 
 
-def mode_labels(spec: LoadProfileSpec, timestamps: np.ndarray) -> np.ndarray:
-    """Ground-truth generator mode index per timestamp."""
-    return mode_table(spec)[minute_of_week(timestamps)]
-
-
 def generate(spec: LoadProfileSpec, network: Network | None = None) -> LoadSeries:
     """Generate a deterministic (seeded) load series for the spec.
 
@@ -164,8 +159,3 @@ def generate(spec: LoadProfileSpec, network: Network | None = None) -> LoadSerie
 
     return LoadSeries(timestamps=timestamps, P=P, Q=Q)
 
-
-def scaled_spec(spec: LoadProfileSpec, factor: float) -> LoadProfileSpec:
-    """Copy of spec with all mode levels scaled by factor."""
-    modes = [replace(m, level=m.level * factor) for m in spec.modes]
-    return replace(spec, modes=modes)

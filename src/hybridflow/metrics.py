@@ -49,7 +49,7 @@ def vector_error(pred_v: np.ndarray, pred_a: np.ndarray,
     # NaN/inf in any input propagates here and argmax prefers it to any
     # finite value, so checking the worst bus covers all four
     worst = per_bus.argmax(axis=-1)
-    if per_bus.ndim == 1:  # the per-step gate checks: stay on scalar code
+    if per_bus.ndim == 1:  # the audit at each solve: stay on scalar code
         eps = float(per_bus[worst])
         if not math.isfinite(eps):
             raise MetricError("non-finite value in metric input")

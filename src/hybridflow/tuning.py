@@ -68,10 +68,9 @@ def config_for(spec: SweepSpec, value: float, value2: float | None = None) -> Hy
     if spec.parameter == STEP_CHANGE:
         return replace(base, step_change_threshold=value)
     if spec.parameter == ERROR_THRESHOLD:
-        return replace(base, error_check_enabled=True, error_check_threshold=value)
+        return replace(base, error_check_threshold=value)
     if spec.parameter == ERROR_GRID:
-        return replace(base, error_check_enabled=True, error_check_threshold=value,
-                       max_check_interval=int(value2))
+        return replace(base, error_check_threshold=value, max_check_interval=int(value2))
     raise TuningError(f"unknown sweep parameter {spec.parameter!r}")
 
 

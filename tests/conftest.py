@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread, as the benchmark runs: criterion 9 compares per-step wall
+# times, and a multi-threaded BLAS call can be several times slower on a busy
+# machine. Set before anything imports numpy; an explicit setting still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from hybridflow import dataset as ds

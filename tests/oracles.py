@@ -2,9 +2,11 @@
 of the library code they check."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
+from hybridflow.loadgen import LoadProfileSpec, minute_of_week, mode_table
 from hybridflow.netmodel import Network
 from hybridflow.solver import SolverSettings, VoltageSolution, injections
 
@@ -89,3 +91,14 @@ def solve_newton_dense(network: Network, p: np.ndarray, q: np.ndarray,
         v[pq] += dx[len(pq):]
     return VoltageSolution(v=v, a=a, iterations=settings.max_iterations,
                            converged=False, wall_time=time.perf_counter() - start)
+
+
+def mode_labels(spec: LoadProfileSpec, timestamps: np.ndarray) -> np.ndarray:
+    """Ground-truth generator mode index per timestamp."""
+    return mode_table(spec)[minute_of_week(timestamps)]
+
+
+def scaled_spec(spec: LoadProfileSpec, factor: float) -> LoadProfileSpec:
+    """Copy of spec with all mode levels scaled by factor."""
+    modes = [replace(m, level=m.level * factor) for m in spec.modes]
+    return replace(spec, modes=modes)

@@ -14,10 +14,11 @@ from hybridflow import loadgen, report, surrogate as sg, tuning
 from hybridflow.cli import main
 from hybridflow.config import load_bundled_or_path
 from hybridflow.hybrid import HybridConfig, run_pure_solver, run_series
+from hybridflow.loadgen import LoadSeries
 from hybridflow.metrics import vector_error
 from hybridflow.solver import (SOLVER, SolverSettings, power_mismatch,
                                solve_newton_raphson)
-from tests.oracles import solve_gauss_seidel
+from tests.oracles import mode_labels, solve_gauss_seidel
 from tests.test_hybrid import constant_series, perfect_surrogate
 
 STUDY_CONFIG = """\
@@ -143,7 +144,7 @@ def test_criterion_3_clustering():
     spec = loadgen.LoadProfileSpec(n_loads=29, resolution_minutes=5,
                                    duration_days=28, seed=42)
     series = loadgen.generate(spec)
-    truth = loadgen.mode_labels(spec, series.timestamps)
+    truth = mode_labels(spec, series.timestamps)
     X = np.hstack([series.P, series.Q])
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     _, labels = sg.kmeans(X, 7, seed=7)
@@ -254,3 +255,28 @@ def test_criterion_9_speed_sanity(full_study):
     assert ratio <= 0.1
     print(f"\nACCEPTANCE 9: PASS - model step / solver step wall-time ratio "
           f"{ratio:.3f} <= 0.1")
+
+
+def test_load_events_within_budget(full_study_parts, settings):
+    """Every accepted output stays within budget through load events longer
+    than the staleness cap: all loads x3 in the weekday evening peak, and
+    half the loads dropped to zero."""
+    network, model, _, test_set = full_study_parts
+    series = test_set.rows(0, 288).series()  # the first test day, a weekday
+    P, Q = series.P.copy(), series.Q.copy()
+    # 17:30-19:30, off the hourly phase of the stale solves
+    P[210:234] *= 3.0
+    Q[210:234] *= 3.0
+    P[60:84, ::2] = 0.0  # 05:00-07:00
+    Q[60:84, ::2] = 0.0
+    events = LoadSeries(timestamps=series.timestamps, P=P, Q=Q)
+    truth_solutions = run_pure_solver(network, events, settings)
+    truth = (np.array([s.v for s in truth_solutions]),
+             np.array([s.a for s in truth_solutions]))
+    config = HybridConfig()
+    _, _, summary = run_series(model, network, events, config, settings,
+                               ground_truth=truth)
+    assert summary.max_eps_inf <= config.error_check_threshold
+    print(f"\nACCEPTANCE events: PASS - worst accepted error {summary.max_eps_inf:.2e} "
+          f"<= {config.error_check_threshold} through a x3 step and a half drop, "
+          f"avoided {summary.avoided_solves_fraction:.1%}")

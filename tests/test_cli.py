@@ -136,11 +136,12 @@ def test_generate_infeasible_load_is_one_line_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("anchor, key", [
     ("  step_change_threshold: 0.20\n", "step_change_enabled"),
+    ("  step_change_threshold: 0.20\n", "error_check_enabled"),
     ("  mismatch_tolerance: 1.0e-8\n", "gs_max_iterations"),
     ("  test_days: 2\n", "train_day"),
     ("  n_clusters: 3\n", "n_cluster"),
     ("  seed: 5\n", "modes"),
-], ids=["hybrid", "solver", "split", "surrogate", "load_spec"])
+], ids=["hybrid", "hybrid_error_check", "solver", "split", "surrogate", "load_spec"])
 def test_unknown_config_key_is_error(tmp_path, anchor, key):
     config = tmp_path / "run.yaml"
     config.write_text(CONFIG_TEMPLATE.format(out=tmp_path / "out").replace(

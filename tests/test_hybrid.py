@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from hybridflow import surrogate as sg
-from hybridflow.hybrid import (HybridConfig, HybridState, SimulationError,
-                               read_records, run_pure_solver, run_series, step,
-                               write_records)
+from hybridflow.hybrid import (DISTANCE, STEP_CHANGE, HybridConfig, HybridState,
+                               SimulationError, input_gates, read_records,
+                               run_pure_solver, run_series, step, write_records)
 from hybridflow.loadgen import LoadSeries
 from hybridflow.metrics import eps_inf
 from hybridflow.solver import MODEL, SOLVER
+from tests.oracles import mode_labels
 
 
 def constant_series(network, level=0.01, T=64):
@@ -41,7 +42,7 @@ def test_first_step_forces_solver(net4, settings):
     series = constant_series(net4, T=4)
     pred = sg.evaluate(model, np.hstack([series.P[:1], series.Q[:1]]))
     state = HybridState()
-    solution, record, state = step(state, (pred.v[0], pred.a[0], pred.percentile[0]),
+    solution, record, state = step(state, (pred.v[0], pred.a[0], None),
                                    net4, series.P[0], series.Q[0],
                                    HybridConfig(), settings,
                                    timestamp=series.timestamps[0])
@@ -94,8 +95,9 @@ def test_other_degenerate_gates_reduce_to_pure_solver(degenerate, feeder30,
 def test_all_checks_disabled_model_always_used(feeder30, small_dataset, settings):
     test_series = small_dataset.rows(0, 40).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
-    config = HybridConfig(error_check_enabled=False, step_change_threshold=None,
-                          distance_percentile_threshold=None)
+    config = HybridConfig(error_check_threshold=math.inf,
+                          max_check_interval=test_series.n_steps + 1,
+                          step_change_threshold=None, distance_percentile_threshold=None)
     _, records, summary = run_series(model, feeder30, test_series, config, settings)
     T = len(records)
     assert summary.avoided_solves_fraction == (T - 1) / T
@@ -120,11 +122,12 @@ def test_safety_floor_solver_calls(feeder30, small_dataset, settings):
 
 def test_gate_soundness_replay(feeder30, small_dataset, settings):
     """Model decisions iff every enabled gate quantity was within threshold,
-    replayed from the accepted-output stream (implies gate-order independence)."""
+    replayed from the inputs and the accepted-output stream (implies
+    gate-order independence)."""
     test_series = small_dataset.rows(0, 120).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     config = HybridConfig(max_check_interval=8, error_check_threshold=1e-4,
-                          step_change_threshold=0.01,
+                          step_change_threshold=0.08,
                           distance_percentile_threshold=99.0)
     solutions, records, _ = run_series(model, feeder30, test_series, config, settings)
     assert {r.decision for r in records} == {MODEL, SOLVER}
@@ -139,10 +142,13 @@ def test_gate_soundness_replay(feeder30, small_dataset, settings):
         if t == 0:
             assert r.decision == SOLVER
         else:
-            prev = solutions[t - 1]
+            # largest relative load change since the last step, 1e-3 pu floor
+            x_now = list(test_series.P[t]) + list(test_series.Q[t])
+            x_prev = list(test_series.P[t - 1]) + list(test_series.Q[t - 1])
+            change = max(abs(x - p) / max(abs(p), 1e-3) for x, p in zip(x_now, x_prev))
             gates = [
                 pred.percentile[0] >= config.distance_percentile_threshold,
-                eps_inf(pred_v, pred_a, prev.v, prev.a) >= config.step_change_threshold,
+                change >= config.step_change_threshold,
                 steps_since + 1 >= config.max_check_interval,
                 stored_error >= config.error_check_threshold,
             ]
@@ -152,6 +158,48 @@ def test_gate_soundness_replay(feeder30, small_dataset, settings):
             steps_since = 0
         else:
             steps_since += 1
+
+
+GATE_LO, GATE_HI = 40, 56  # 10:00-14:00 on day 0: inside small_series' weekday-day mode
+
+
+@pytest.mark.parametrize("case", ["step3", "drop_half", "one_mode", "zero", "null",
+                                  "both"])
+def test_input_gates(case, small_spec, small_series):
+    P, Q = small_series.P.copy(), small_series.Q.copy()
+    percentile = np.zeros(len(P))
+    config = HybridConfig()  # step change 0.20, no distance check
+    rows = range(GATE_LO - 3, GATE_HI + 3)
+    expected = {}
+    if case in ("step3", "both"):
+        P[GATE_LO:GATE_HI] *= 3.0
+        Q[GATE_LO:GATE_HI] *= 3.0
+        expected = {GATE_LO: STEP_CHANGE, GATE_HI: STEP_CHANGE}
+    if case == "both":
+        config = HybridConfig(distance_percentile_threshold=99.0)
+        percentile[[GATE_LO, GATE_LO + 5]] = 100.0
+        expected.update({GATE_LO: DISTANCE, GATE_LO + 5: DISTANCE})
+    elif case == "drop_half":
+        P[GATE_LO:GATE_HI, ::2] = 0.0
+        Q[GATE_LO:GATE_HI, ::2] = 0.0
+        expected = {GATE_LO: STEP_CHANGE, GATE_HI: STEP_CHANGE}
+    elif case == "one_mode":
+        labels = mode_labels(small_spec, small_series.timestamps)
+        rows = np.flatnonzero(labels[1:] == labels[:-1]) + 1
+    elif case == "zero":
+        config = HybridConfig(step_change_threshold=0.0)
+        rows = range(len(P))
+        expected = {t: STEP_CHANGE for t in range(1, len(P))}
+    elif case == "null":
+        config = HybridConfig(step_change_threshold=None)
+        P[GATE_LO:GATE_HI] *= 3.0
+        percentile[:] = 100.0
+        rows = range(len(P))
+    # the 1e-3 pu floor keeps a zero load from dividing by zero
+    with np.errstate(divide="raise", invalid="raise"):
+        gates = input_gates(np.hstack([P, Q]), percentile, config)
+    assert len(gates) == len(P)
+    assert [gates[t] for t in rows] == [expected.get(t) for t in rows]
 
 
 def test_solver_failure_propagates(net4, settings):
@@ -195,7 +243,7 @@ def test_nan_load_names_the_step(net4, settings):
     model = perfect_surrogate(net4, settings)
     series = constant_series(net4, T=4)
     series.P[2, 0] = np.nan
-    # the NaN reaches the step-change check through the model's prediction
+    # the NaN reaches the model's prediction, which is checked before the loop
     with pytest.raises(SimulationError,
                        match=r"non-finite .* at 2024-01-01T00:10:00 \(row 2\)$"):
         run_series(model, net4, series, HybridConfig(), settings)

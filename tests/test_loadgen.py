@@ -4,10 +4,11 @@ import pytest
 from hybridflow import loadgen
 from hybridflow.hybrid import SimulationError, run_pure_solver
 from hybridflow.loadgen import (LoadProfileSpec, LoadSpecError, ModeSpec,
-                                default_modes, generate, mode_labels,
-                                mode_table, scaled_spec, validate_spec)
+                                default_modes, generate, mode_table,
+                                validate_spec)
 from hybridflow.solver import SolverSettings
 from hybridflow.surrogate import kmeans
+from tests.oracles import mode_labels, scaled_spec
 
 
 def constant_spec(n_loads=3, **kwargs):
