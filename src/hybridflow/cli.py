@@ -149,14 +149,17 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             cmd_simulate(config, pure_solver=args.pure_solver)
         elif args.command == "tune":
-            lo, hi = (int(x) for x in args.calibration_days.split(","))
+            try:
+                lo, hi = (int(x) for x in args.calibration_days.split(","))
+            except ValueError:
+                raise ValueError("--calibration-days expects LO,HI") from None
             if not args.values:
                 raise tuning.TuningError("empty sweep grid")
             cmd_tune(config, args.parameter, args.values, args.values2, (lo, hi))
         elif args.command == "report":
             cmd_report(config, args.records, args.bin_width, args.clip)
-    except (ConfigError, ds.DatasetError, tuning.TuningError, sg.SurrogateError,
-            loadgen.LoadSpecError, hybrid.SimulationError, FileNotFoundError) as exc:
+    # every hybridflow input error derives from ValueError; OSError covers unreadable files
+    except (ValueError, OSError, hybrid.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,17 +6,16 @@ randomness is funneled through the seeds declared here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import inspect
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
-import yaml
+from typing import get_args, get_type_hints
 
 from .dataset import SplitSpec
 from .hybrid import HybridConfig
 from .loadgen import LoadProfileSpec, default_modes
-from .netmodel import Loader, Network, load_network
+from .netmodel import Network, load_network, read_yaml
 from .solver import SolverSettings
 
 
@@ -71,84 +70,70 @@ def load_bundled_or_path(path) -> Network:
     raise ConfigError(f"network file not found: {path}")
 
 
-def _keys(schema) -> set[str]:
-    return {f.name for f in fields(schema)}
-
-
-def _section(raw: dict, key: str, allowed: set[str]) -> dict:
-    """The mapping under `key`; only the `allowed` key names are accepted,
-    so a removed or misspelt key is not ignored."""
-    value = raw.get(key, {})
+def _section(raw: dict, key: str) -> dict:
+    """A copy of the mapping under `key`; an absent or null section is empty."""
+    value = raw.get(key)
     if value is None:
-        value = {}
+        return {}
     if not isinstance(value, dict):
         raise ConfigError(f"section {key!r} must be a mapping")
-    unknown = set(value) - allowed
+    return dict(value)
+
+
+def _convert(name: str, hint, value):
+    """`value` of key `name` as the type `hint` names: null only where the
+    hint is `X | None`, a bool only for a bool, and no float for an int."""
+    args = get_args(hint)
+    if value is None and type(None) in args:
+        return None
+    kind = args[0] if args else hint
+    try:
+        if (value is None or (kind is bool) != isinstance(value, bool)
+                or kind is int and isinstance(value, float)):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _build(schema, key: str, section: dict, **given):
+    """`schema(**given, ...)` from the mapping of section `key`: the other
+    parameters of `schema` are the accepted keys, an absent one keeps its
+    default, and each value is converted by its annotation."""
+    unknown = set(section) - (set(inspect.signature(schema).parameters) - set(given))
     if unknown:
         raise ConfigError(f"unknown key in section {key!r}: "
                           f"{', '.join(sorted(map(str, unknown)))}")
-    return value
+    hints = get_type_hints(schema)
+    try:
+        for name, value in section.items():
+            given[name] = _convert(name, hints[name], value)
+        return schema(**given)
+    except (TypeError, ValueError) as exc:  # a bad value, a missing key, or __post_init__
+        raise ConfigError(f"section {key!r}: {exc}") from None
 
 
 def load_config(path, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
     path = Path(path)
-    with open(path) as f:
-        raw = yaml.load(f, Loader=Loader)
+    raw = read_yaml(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping at top level")
     if "network" not in raw:
         raise ConfigError(f"{path}: missing required key 'network'")
 
-    # the modes come from default_modes(base_level), not from the file
-    ls = _section(raw, "load_spec", _keys(LoadProfileSpec) - {"modes"} | {"base_level"})
+    seed = {} if seed_override is None else {"seed": seed_override}
+    ls = _section(raw, "load_spec")
     load_spec = None
     if ls:
-        base_level = float(ls.get("base_level", 0.01))
-        load_spec = LoadProfileSpec(
-            n_loads=int(ls["n_loads"]),
-            resolution_minutes=int(ls.get("resolution_minutes", 5)),
-            duration_days=int(ls.get("duration_days", 28)),
-            modes=default_modes(base_level),
-            noise_scale=float(ls.get("noise_scale", 0.02)),
-            seed=int(ls.get("seed", 12345)),
-            min_power_factor=float(ls.get("min_power_factor", 0.90)),
-            start=np.datetime64(ls.get("start", "2024-01-01T00:00:00")),
-        )
-        if seed_override is not None:
-            load_spec.seed = seed_override
-
-    sp = _section(raw, "split", _keys(SplitSpec))
-    split = SplitSpec(drop_days=int(sp.get("drop_days", 3)),
-                      train_days=int(sp.get("train_days", 7)),
-                      test_days=int(sp.get("test_days", 18)))
-
-    sg = _section(raw, "surrogate", _keys(SurrogateSettings))
-    surrogate = SurrogateSettings(
-        method=str(sg.get("method", "kmeans")),
-        n_clusters=int(sg.get("n_clusters", 7)),
-        seed=(seed_override if seed_override is not None else int(sg.get("seed", 0))),
-        intercept=bool(sg.get("intercept", True)),
-        standardize=bool(sg.get("standardize", True)),
-        model_file=str(sg.get("model_file", "surrogate.json")),
-    )
-
-    hy = _section(raw, "hybrid", _keys(HybridConfig))
-    dpt = hy.get("distance_percentile_threshold", None)
-    sct = hy.get("step_change_threshold", 0.20)
-    hybrid = HybridConfig(
-        error_check_threshold=float(hy.get("error_check_threshold", 0.01)),
-        max_check_interval=int(hy.get("max_check_interval", 12)),
-        distance_percentile_threshold=(None if dpt is None else float(dpt)),
-        step_change_threshold=(None if sct is None else float(sct)),
-    )
-
-    so = _section(raw, "solver", _keys(SolverSettings))
-    solver = SolverSettings(
-        mismatch_tolerance=float(so.get("mismatch_tolerance", 1e-8)),
-        max_iterations=int(so.get("max_iterations", 50)),
-        warm_start=bool(so.get("warm_start", True)),
-    )
+        # the modes are not in the file: default_modes scales them by base_level
+        level = {"base_level": ls.pop("base_level")} if "base_level" in ls else {}
+        load_spec = _build(LoadProfileSpec, "load_spec", ls | seed,
+                           modes=_build(default_modes, "load_spec", level))
+    split = _build(SplitSpec, "split", _section(raw, "split"))
+    surrogate = _build(SurrogateSettings, "surrogate", _section(raw, "surrogate") | seed)
+    hybrid = _build(HybridConfig, "hybrid", _section(raw, "hybrid"))
+    solver = _build(SolverSettings, "solver", _section(raw, "solver"))
 
     dataset_path = str(raw.get("dataset", "dataset.csv"))
     if out_override is not None:

@@ -97,7 +97,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if self.drop_days < 0 or self.test_days < 0:
-            raise DatasetError("day counts must be non-negative")
+            raise DatasetError("drop_days and test_days must be >= 0")
         if self.train_days < 1:
             raise DatasetError("train_days must be >= 1")
 
@@ -118,10 +118,6 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return dataset.rows(a, b), dataset.rows(b, c)
 
 
-def _format(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def format_timestamp(t: np.datetime64) -> str:
     """ISO-8601 UTC to the second, as written in every CSV: 2024-01-01T00:05:00Z."""
     return np.datetime_as_string(t, unit="s") + "Z"
@@ -137,15 +133,14 @@ def write_csv(dataset: Dataset, path) -> None:
     header = (["timestamp"]
               + [f"p_{i}" for i in range(n_p)] + [f"q_{i}" for i in range(n_p)]
               + [f"v_{i}" for i in range(n_v)] + [f"a_{i}" for i in range(n_v)])
+    # the csv module's excel dialect (\r\n line ends); no cell needs quoting
+    row = "%sZ" + ",%.17g" * (len(header) - 1) + "\r\n"
+    stamps = np.datetime_as_string(dataset.timestamps, unit="s").tolist()
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for t in range(dataset.n_steps):
-            row = ([format_timestamp(dataset.timestamps[t])]
-                   + [_format(x) for x in dataset.inputs[t]]
-                   + [_format(x) for x in dataset.outputs_v[t]]
-                   + [_format(x) for x in dataset.outputs_a[t]])
-            writer.writerow(row)
+        f.write(",".join(header) + "\r\n")
+        for stamp, x, v, a in zip(stamps, dataset.inputs, dataset.outputs_v,
+                                  dataset.outputs_a):
+            f.write(row % (stamp, *x.tolist(), *v.tolist(), *a.tolist()))
 
 
 def read_csv(path) -> Dataset:

@@ -9,7 +9,6 @@ the maximum over buses: one per vector of n_v buses, or one per row of a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +45,16 @@ def vector_error(pred_v: np.ndarray, pred_a: np.ndarray,
     norm = np.abs(true_v)  # ||(v cos a, v sin a)|| = |v|
     # zero-norm truth: fall back to the unnormalized error
     per_bus = np.divide(diff, norm, out=diff, where=norm > 0.0)
-    # NaN/inf in any input propagates here and argmax prefers it to any
-    # finite value, so checking the worst bus covers all four
+    # NaN/inf in any input propagates here, and max and argmax both prefer
+    # NaN to any finite value, so checking the worst bus covers all four
     worst = per_bus.argmax(axis=-1)
-    if per_bus.ndim == 1:  # the audit at each solve: stay on scalar code
-        eps = float(per_bus[worst])
-        if not math.isfinite(eps):
-            raise MetricError("non-finite value in metric input")
-        return ErrorReport(per_bus=per_bus, eps_inf=eps, worst_bus=int(worst))
-    eps = per_bus[np.arange(len(per_bus)), worst]
+    eps = per_bus.max(axis=-1)
     finite = np.isfinite(eps)
     if not finite.all():
-        raise MetricError("non-finite value in metric input", row=int(finite.argmin()))
+        raise MetricError("non-finite value in metric input",
+                          row=int(finite.argmin()) if eps.ndim else None)
+    if eps.ndim == 0:  # one vector: a float and an int, not numpy scalars
+        eps, worst = float(eps), int(worst)
     return ErrorReport(per_bus=per_bus, eps_inf=eps, worst_bus=worst)
 
 

@@ -176,32 +176,47 @@ def validate(network: Network) -> list[str]:
     return violations
 
 
+def read_yaml(path, error: type[Exception] = NetworkValidationError):
+    """The YAML document in `path`; a syntax error raises `error` naming the file."""
+    with open(path) as f:
+        try:
+            return yaml.load(f, Loader=Loader)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = path if mark is None else f"{path}:{mark.line + 1}"
+            problem = " ".join(str(exc).split()) if mark is None else exc.problem
+            raise error(f"{where}: invalid YAML: {problem}") from None
+
+
 def load_network(path) -> Network:
     """Read a network definition file (YAML schema, see docs/formats)."""
-    with open(path) as f:
-        raw = yaml.load(f, Loader=Loader)
+    raw = read_yaml(path)
     if not isinstance(raw, dict) or "buses" not in raw or "lines" not in raw:
         raise NetworkValidationError(f"{path}: expected mapping with 'buses' and 'lines'")
-    buses = [
-        Bus(
-            id=int(entry["id"]),
-            kind=str(entry.get("kind", PQ)),
-            load_attachment=(int(entry["load"]) if "load" in entry and entry["load"] is not None
-                             else None),
-        )
-        for entry in raw["buses"]
-    ]
-    lines = [
-        Line(
-            from_bus=int(entry["from"]),
-            to_bus=int(entry["to"]),
-            resistance=float(entry.get("r", 0.0)),
-            reactance=float(entry.get("x", 0.0)),
-            shunt_susceptance=float(entry.get("b", 0.0)),
-        )
-        for entry in raw["lines"]
-    ]
-    return make_network(buses, lines, name=str(raw.get("name", "network")))
+    try:
+        buses = [
+            Bus(
+                id=int(entry["id"]),
+                kind=str(entry.get("kind", PQ)),
+                load_attachment=(None if entry.get("load") is None else int(entry["load"])),
+            )
+            for entry in raw["buses"]
+        ]
+        lines = [
+            Line(
+                from_bus=int(entry["from"]),
+                to_bus=int(entry["to"]),
+                resistance=float(entry.get("r", 0.0)),
+                reactance=float(entry.get("x", 0.0)),
+                shunt_susceptance=float(entry.get("b", 0.0)),
+            )
+            for entry in raw["lines"]
+        ]
+        return make_network(buses, lines, name=str(raw.get("name", "network")))
+    except KeyError as exc:
+        raise NetworkValidationError(f"{path}: a bus or line has no {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:  # a bad value or element
+        raise NetworkValidationError(f"{path}: {exc}") from None
 
 
 def save_network(network: Network, path) -> None:

@@ -258,8 +258,11 @@ def save(surrogate: ClusteredSurrogate, path) -> None:
 
 def load(path) -> ClusteredSurrogate:
     with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "hybridflow-surrogate":
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # JSON syntax, or bytes that are not text
+            raise SurrogateError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "hybridflow-surrogate":
         raise SurrogateError(f"{path}: not a surrogate model file")
     if doc.get("version") != FORMAT_VERSION:
         raise SurrogateError(f"{path}: unsupported version {doc.get('version')}")

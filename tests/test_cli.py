@@ -190,6 +190,51 @@ def _config_with(workdir, tmp_path, old, new) -> Path:
     return config
 
 
+ZERO_IMPEDANCE = """\
+buses: [{id: 0, kind: slack}, {id: 1, load: 0}]
+lines: [{from: 0, to: 1, r: 0.0, x: 0.0}]
+"""
+BUS_WITHOUT_ID = """\
+buses: [{kind: slack}, {id: 1, load: 0}]
+lines: [{from: 0, to: 1, r: 0.01, x: 0.05}]
+"""
+RECORDS = """\
+timestamp,decision,triggering_check,eps_inf,solver_iterations
+2024-01-05T00:00:00Z,solver,forced_first,0,3
+"""
+
+
+@pytest.mark.parametrize("old, new, files, argv", [
+    ("max_check_interval: 2", "max_check_interval: two", {}, ["simulate"]),
+    ("max_check_interval: 2", "max_check_interval: 0", {}, ["simulate"]),
+    ("error_check_threshold: 0.01", "error_check_threshold: null", {}, ["simulate"]),
+    ("  n_clusters: 3\n", '  n_clusters: 3\n  intercept: "no"\n', {}, ["simulate"]),
+    ("  n_loads: 29\n", "", {}, ["simulate"]),
+    ("hybrid:\n", "hybrid: [\n", {}, ["simulate"]),
+    ("model_file: {out}/surrogate.json", "model_file: {tmp}/model.json",
+     {"model.json": "{not json"}, ["simulate"]),
+    ("network: feeder30", "network: {tmp}/net.yaml", {"net.yaml": ZERO_IMPEDANCE},
+     ["simulate"]),
+    ("network: feeder30", "network: {tmp}/net.yaml", {"net.yaml": BUS_WITHOUT_ID},
+     ["simulate"]),
+    ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
+                  "--calibration-days", "0"]),
+    ("", "", {"records.csv": RECORDS},
+     ["report", "--records", "{tmp}/records.csv", "--bin-width", "0"]),
+], ids=["interval_not_int", "interval_zero", "threshold_null", "intercept_string",
+        "no_n_loads", "yaml_syntax", "surrogate_not_json", "zero_impedance",
+        "bus_without_id", "calibration_days", "bin_width_zero"])
+def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = {"out": workdir / "out", "tmp": tmp_path}
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG_TEMPLATE.replace(old, new).format(**paths))
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), *argv]) == 1
+    _one_error_line(capsys)
+
+
 def test_surrogate_missing_key_is_one_line_error(workdir, tmp_path, capsys):
     doc = json.loads((workdir / "out" / "surrogate.json").read_text())
     del doc["coef"]

@@ -91,6 +91,21 @@ def test_nan_value_cites_row(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("cell, column, message", [
+    ("2024-01-01T00:61:00Z", 0, "bad timestamp '2024-01-01T00:61:00Z'"),
+    ("0.1x", 2, "non-numeric value"),
+], ids=["bad_timestamp", "non_numeric"])
+def test_bad_cell_cites_line(tmp_path, cell, column, message):
+    path = tmp_path / "bad.csv"
+    rows = [["2024-01-01T00:%02d:00Z" % (5 * t), "0.1", "0.02", "0.99", "-0.01"]
+            for t in range(4)]
+    rows[2][column] = cell
+    path.write_text("timestamp,p_0,q_0,v_0,a_0\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(DatasetError, match=rf"bad\.csv:4: {message}$"):
+        read_csv(path)
+
+
 def test_ragged_row_rejected(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("timestamp,p_0,q_0,v_0,a_0\n"
