@@ -9,7 +9,6 @@ significant digits (lossless float round-trip).
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -163,17 +162,17 @@ def read_csv(path) -> Dataset:
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
             try:
-                numbers = [float(x) for x in row[1:]]
+                values.append(np.array(row[1:], dtype=float))
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
-            for k, x in enumerate(numbers):
-                if not math.isfinite(x):
-                    raise DatasetError(f"{path}:{lineno}: non-finite value in column "
-                                       f"{header[1 + k]!r}")
-            values.append(numbers)
     if not values:
         raise DatasetError(f"{path}: no data rows")
     data = np.array(values)
+    finite = np.isfinite(data)
+    if not finite.all():
+        t, k = np.argwhere(~finite)[0]  # the first bad row, then its first bad column
+        raise DatasetError(f"{path}:{t + 2}: non-finite value in column "
+                           f"{header[1 + k]!r}")
     ts = np.array(timestamps, dtype="datetime64[s]")
     if len(ts) > 1 and (np.diff(ts.astype(np.int64)) <= 0).any():
         bad = int(np.argmax(np.diff(ts.astype(np.int64)) <= 0)) + 3  # header + 1-based + next row

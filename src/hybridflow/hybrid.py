@@ -51,11 +51,15 @@ class HybridConfig:
     distance_percentile_threshold: float | None = None
     step_change_threshold: float | None = 0.20  # relative change of any load
 
-    def __post_init__(self):
-        if self.max_check_interval < 1:
+    def __post_init__(self):  # written so that a NaN fails each comparison
+        if not self.max_check_interval >= 1:
             raise ValueError("max_check_interval must be >= 1")
-        if self.error_check_threshold < 0:
+        if not self.error_check_threshold >= 0:
             raise ValueError("error_check_threshold must be >= 0")
+        for name in ("distance_percentile_threshold", "step_change_threshold"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be >= 0 or null")
 
 
 @dataclass
@@ -235,15 +239,16 @@ def read_records(path) -> list[StepRecord]:
     records = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
         if header != RECORD_HEADER:
             raise ValueError(f"{path}: unexpected records header {header}")
         for row in reader:
-            records.append(StepRecord(
-                timestamp=parse_timestamp(row[0]),
-                decision=row[1],
-                triggering_check=row[2] or None,
-                model_eps_inf_vs_truth=float(row[3]) if row[3] else None,
-                solver_iterations=int(row[4]) if row[4] else None,
-            ))
+            try:  # a short or long row fails the unpacking
+                stamp, decision, check, error, iterations = row
+                records.append(StepRecord(parse_timestamp(stamp), decision, check or None,
+                                          float(error) if error else None,
+                                          int(iterations) if iterations else None))
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: malformed record "
+                                 f"{row!r}") from None
     return records

@@ -36,10 +36,10 @@ class SolverSettings:
     max_iterations: int = 50
     warm_start: bool = True
 
-    def __post_init__(self):
-        if self.mismatch_tolerance <= 0:
+    def __post_init__(self):  # written so that a NaN fails each comparison
+        if not self.mismatch_tolerance > 0:
             raise ValueError("mismatch_tolerance must be > 0")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
 
 

@@ -24,6 +24,7 @@ DAY_OF_WEEK = "day_of_week"
 NONE = "none"
 
 FORMAT_VERSION = 2
+MIN_CLUSTER_SIZE = 10  # fewest training rows a cluster's map is fit on
 
 
 class SurrogateError(ValueError):
@@ -84,15 +85,20 @@ class KMeansResult:
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)  # argmin ties -> lowest index
+    """Each point's nearest center, ties to the lowest index, and its squared
+    distance to it; computed per center, so no [N, n_c, D] temporary."""
+    d2 = np.empty((len(points), len(centers)))
+    for j, center in enumerate(centers):
+        diff = points - center
+        d2[:, j] = np.einsum("ij,ij->i", diff, diff)
+    labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(len(points)), labels]
 
 
 def _kmeans_pp_init(points: np.ndarray, n_c: int, rng: np.random.Generator) -> np.ndarray:
     centers = np.empty((n_c, points.shape[1]))
     centers[0] = points[rng.integers(len(points))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = _nearest(points, centers[:1])[1]
     for k in range(1, n_c):
         total = d2.sum()
         if total <= 0.0:
@@ -100,12 +106,12 @@ def _kmeans_pp_init(points: np.ndarray, n_c: int, rng: np.random.Generator) -> n
         else:
             idx = rng.choice(len(points), p=d2 / total)
             centers[k] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[k]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _nearest(points, centers[k:k + 1])[1])
     return centers
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int,
-           tol: float) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+           tol: float) -> KMeansResult:
     history = []
     labels, d2 = _nearest(points, centers)
     for _ in range(max_iter):
@@ -124,12 +130,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int,
         if movement < tol:
             break
     history.append(float(d2.sum()))
-    return centers, labels, float(d2.sum()), history
+    return KMeansResult(centers, labels, history[-1], history)
 
 
 def kmeans(points: np.ndarray, n_c: int, seed: int = 0, n_restarts: int = 10,
-           max_iter: int = 300, tol: float = 1e-8,
-           full_output: bool = False):
+           max_iter: int = 300, tol: float = 1e-8) -> KMeansResult:
     """k-means++ seeded Lloyd clustering, best of n_restarts by WCSS."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -142,13 +147,10 @@ def kmeans(points: np.ndarray, n_c: int, seed: int = 0, n_restarts: int = 10,
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None
     for _ in range(n_restarts):
-        init = _kmeans_pp_init(points, n_c, rng)
-        centers, labels, wcss, history = _lloyd(points, init, max_iter, tol)
-        if best is None or wcss < best.wcss:
-            best = KMeansResult(centers, labels, wcss, history)
-    if full_output:
-        return best
-    return best.centers, best.assignments
+        result = _lloyd(points, _kmeans_pp_init(points, n_c, rng), max_iter, tol)
+        if best is None or result.wcss < best.wcss:
+            best = result
+    return best
 
 
 def cluster_day_of_week(timestamps: np.ndarray) -> np.ndarray:
@@ -157,10 +159,9 @@ def cluster_day_of_week(timestamps: np.ndarray) -> np.ndarray:
 
 
 def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
-          intercept: bool = True, standardize: bool = True,
-          min_cluster_size: int = 10, n_restarts: int = 10,
-          max_iter: int = 300, tol: float = 1e-8) -> ClusteredSurrogate:
-    """Fit a clustered surrogate on a training dataset."""
+          intercept: bool = True, standardize: bool = True) -> ClusteredSurrogate:
+    """Fit a clustered surrogate on a training dataset: one cluster for
+    `none`, one per weekday present for `day_of_week`, `n_c` for `kmeans`."""
     if dataset.n_steps == 0:
         raise SurrogateError("empty training dataset")
     X = dataset.inputs
@@ -172,41 +173,33 @@ def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
         mean, scale = np.zeros(X.shape[1]), np.ones(X.shape[1])
     Xs = (X - mean) / scale
 
+    centers = None  # none and day_of_week center each cluster at its mean
     if method == NONE:
         labels = np.zeros(dataset.n_steps, dtype=int)
-        centers = Xs.mean(axis=0)[None, :]
-        n_c = 1
     elif method == DAY_OF_WEEK:
-        labels = cluster_day_of_week(dataset.timestamps)
-        present = np.unique(labels)
-        n_c = 7
-        centers = np.zeros((7, Xs.shape[1]))
-        for k in present:
-            centers[k] = Xs[labels == k].mean(axis=0)
+        _, labels = np.unique(cluster_day_of_week(dataset.timestamps), return_inverse=True)
     elif method == KMEANS:
-        centers, labels = kmeans(Xs, n_c, seed=seed, n_restarts=n_restarts,
-                                 max_iter=max_iter, tol=tol)
+        fit = kmeans(Xs, n_c, seed=seed)
+        centers, labels = fit.centers, fit.assignments
     else:
         raise SurrogateError(f"unknown clustering method {method!r}")
+    if centers is None:
+        n_c = labels.max() + 1
+        centers = np.array([Xs[labels == k].mean(axis=0) for k in range(n_c)])
 
     Y = np.hstack([dataset.outputs_v, dataset.outputs_a])
-    coef = np.zeros((n_c, Y.shape[1], Xs.shape[1]))
-    bias = np.zeros((n_c, Y.shape[1]))
+    coef = np.empty((n_c, Y.shape[1], Xs.shape[1]))
+    bias = np.empty((n_c, Y.shape[1]))
     train_distances = []
     for k in range(n_c):
         members = labels == k
         count = int(members.sum())
-        if method != DAY_OF_WEEK and count == 0:
-            raise SurrogateError(f"cluster {k} is empty")
-        if 0 < count < min_cluster_size:
+        if count < MIN_CLUSTER_SIZE:
             raise SurrogateError(f"cluster {k} has only {count} samples "
-                                 f"(minimum {min_cluster_size}); try smaller n_c")
-        if count == 0:  # a weekday absent from training keeps a zero map
-            train_distances.append(np.array([]))
-            continue
+                                 f"(minimum {MIN_CLUSTER_SIZE}); try smaller n_c")
         coef[k], bias[k] = fit_regression(Xs[members], Y[members], intercept)
-        dists = np.linalg.norm(Xs[members] - centers[k], axis=1)
-        train_distances.append(np.sort(dists))
+        _, d2 = _nearest(Xs[members], centers[k:k + 1])
+        train_distances.append(np.sort(np.sqrt(d2)))
 
     return ClusteredSurrogate(method=method, centers=centers, coef=coef, intercept=bias,
                               train_distances=train_distances,
@@ -217,17 +210,13 @@ def evaluate(surrogate: ClusteredSurrogate, X: np.ndarray) -> Evaluation:
     """Route each row of a [T, 2*n_p] batch to its nearest cluster center
     (ties to the lowest index) and evaluate that cluster's map."""
     Xs = (np.asarray(X, dtype=float) - surrogate.input_mean) / surrogate.input_scale
-    d2 = np.empty((len(Xs), surrogate.n_c))
-    for j, center in enumerate(surrogate.centers):
-        diff = Xs - center
-        d2[:, j] = np.einsum("ij,ij->i", diff, diff)
-    k = d2.argmin(axis=1)
-    d = np.sqrt(d2[np.arange(len(Xs)), k])
+    k, d2 = _nearest(Xs, surrogate.centers)
+    d = np.sqrt(d2)
     percentile = np.full(len(Xs), 100.0)
     for j, dists in enumerate(surrogate.train_distances):
-        if len(dists):  # nearest rank: fraction of training members strictly closer
-            members = k == j
-            percentile[members] = 100.0 * dists.searchsorted(d[members]) / len(dists)
+        # nearest rank: fraction of the cluster's training members strictly closer
+        members = k == j
+        percentile[members] = 100.0 * dists.searchsorted(d[members]) / len(dists)
     Y = np.empty((len(Xs), surrogate.coef.shape[1]))
     # one matrix-vector product per row: the same sums for a row in any
     # batch, and no multi-threaded BLAS call on a large batch
@@ -267,7 +256,7 @@ def load(path) -> ClusteredSurrogate:
     if doc.get("version") != FORMAT_VERSION:
         raise SurrogateError(f"{path}: unsupported version {doc.get('version')}")
     try:
-        return ClusteredSurrogate(
+        surrogate = ClusteredSurrogate(
             method=doc["method"],
             centers=np.array(doc["centers"], dtype=float),
             coef=np.array(doc["coef"], dtype=float),
@@ -278,3 +267,7 @@ def load(path) -> ClusteredSurrogate:
         )
     except KeyError as exc:
         raise SurrogateError(f"{path}: missing key '{exc.args[0]}'") from None
+    for k, dists in enumerate(surrogate.train_distances):
+        if not len(dists):  # no fitted map behind it: a cluster must have training rows
+            raise SurrogateError(f"{path}: cluster {k} has no training rows; retrain")
+    return surrogate

@@ -125,7 +125,7 @@ def test_criterion_3_clustering():
     rng = np.random.default_rng(1003)
     for seed in range(50):
         pts = rng.standard_normal((150, 5))
-        result = sg.kmeans(pts, 4, seed=seed, n_restarts=3, full_output=True)
+        result = sg.kmeans(pts, 4, seed=seed, n_restarts=3)
         h = result.wcss_history
         assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
         d2 = ((pts[:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
@@ -137,7 +137,7 @@ def test_criterion_3_clustering():
 
     blob_a = rng.standard_normal((80, 3)) * 0.2
     blob_b = rng.standard_normal((80, 3)) * 0.2 + 8.0
-    _, labels = sg.kmeans(np.vstack([blob_a, blob_b]), 2, seed=0)
+    labels = sg.kmeans(np.vstack([blob_a, blob_b]), 2, seed=0).assignments
     assert len(set(labels[:80])) == 1 and len(set(labels[80:])) == 1
     assert labels[0] != labels[80]
 
@@ -147,7 +147,7 @@ def test_criterion_3_clustering():
     truth = mode_labels(spec, series.timestamps)
     X = np.hstack([series.P, series.Q])
     X = (X - X.mean(axis=0)) / X.std(axis=0)
-    _, labels = sg.kmeans(X, 7, seed=7)
+    labels = sg.kmeans(X, 7, seed=7).assignments
     agreeing = sum(np.bincount(truth[labels == k]).max()
                    for k in range(7) if (labels == k).any())
     purity = agreeing / len(labels)
@@ -242,9 +242,10 @@ def test_criterion_8_determinism(full_study, tmp_path_factory):
                                    duration_days=28, seed=42)
     series = loadgen.generate(spec)
     X = np.hstack([series.P, series.Q])
-    c1, l1 = sg.kmeans((X - X.mean(0)) / X.std(0), 7, seed=7)
-    c2, l2 = sg.kmeans((X - X.mean(0)) / X.std(0), 7, seed=7)
-    assert np.array_equal(c1, c2) and np.array_equal(l1, l2)
+    r1 = sg.kmeans((X - X.mean(0)) / X.std(0), 7, seed=7)
+    r2 = sg.kmeans((X - X.mean(0)) / X.std(0), 7, seed=7)
+    assert np.array_equal(r1.centers, r2.centers)
+    assert np.array_equal(r1.assignments, r2.assignments)
     print("\nACCEPTANCE 8: PASS - repeated pipeline byte-identical "
           "(dataset, model, records, solutions)")
 

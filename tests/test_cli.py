@@ -202,12 +202,21 @@ RECORDS = """\
 timestamp,decision,triggering_check,eps_inf,solver_iterations
 2024-01-05T00:00:00Z,solver,forced_first,0,3
 """
+SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
 
 
 @pytest.mark.parametrize("old, new, files, argv", [
     ("max_check_interval: 2", "max_check_interval: two", {}, ["simulate"]),
     ("max_check_interval: 2", "max_check_interval: 0", {}, ["simulate"]),
     ("error_check_threshold: 0.01", "error_check_threshold: null", {}, ["simulate"]),
+    ("error_check_threshold: 0.01", "error_check_threshold: .nan", {}, ["simulate"]),
+    ("step_change_threshold: 0.20", "step_change_threshold: -1.0", {}, ["simulate"]),
+    ("step_change_threshold: 0.20", "step_change_threshold: .nan", {}, ["simulate"]),
+    ("  step_change_threshold: 0.20\n",
+     "  step_change_threshold: 0.20\n  distance_percentile_threshold: -1.0\n", {},
+     ["simulate"]),
+    ("mismatch_tolerance: 1.0e-8", "mismatch_tolerance: .nan", {"records.csv": RECORDS},
+     ["report", "--records", "{tmp}/records.csv"]),
     ("  n_clusters: 3\n", '  n_clusters: 3\n  intercept: "no"\n', {}, ["simulate"]),
     ("  n_loads: 29\n", "", {}, ["simulate"]),
     ("hybrid:\n", "hybrid: [\n", {}, ["simulate"]),
@@ -221,9 +230,12 @@ timestamp,decision,triggering_check,eps_inf,solver_iterations
                   "--calibration-days", "0"]),
     ("", "", {"records.csv": RECORDS},
      ["report", "--records", "{tmp}/records.csv", "--bin-width", "0"]),
-], ids=["interval_not_int", "interval_zero", "threshold_null", "intercept_string",
-        "no_n_loads", "yaml_syntax", "surrogate_not_json", "zero_impedance",
-        "bus_without_id", "calibration_days", "bin_width_zero"])
+    ("", "", {"records.csv": SHORT_RECORD}, ["report", "--records", "{tmp}/records.csv"]),
+], ids=["interval_not_int", "interval_zero", "threshold_null", "threshold_nan",
+        "step_change_negative", "step_change_nan", "distance_negative", "tolerance_nan",
+        "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
+        "zero_impedance", "bus_without_id", "calibration_days", "bin_width_zero",
+        "records_short_row"])
 def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -245,6 +257,20 @@ def test_surrogate_missing_key_is_one_line_error(workdir, tmp_path, capsys):
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),
                  "simulate"]) == 1
     assert _one_error_line(capsys) == f"error: {damaged}: missing key 'coef'"
+
+
+def test_surrogate_empty_cluster_is_one_line_error(workdir, tmp_path, capsys):
+    # a cluster without training rows: the zero-map weekday of older files
+    doc = json.loads((workdir / "out" / "surrogate.json").read_text())
+    doc["train_distances"][1] = []
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(doc))
+    config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.json",
+                          f"model_file: {damaged}")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"),
+                 "simulate"]) == 1
+    assert _one_error_line(capsys) == (f"error: {damaged}: cluster 1 has no "
+                                       f"training rows; retrain")
 
 
 @pytest.mark.parametrize("flags", [[], ["--pure-solver"]], ids=["hybrid", "pure_solver"])

@@ -103,6 +103,18 @@ def test_all_checks_disabled_model_always_used(feeder30, small_dataset, settings
     assert summary.avoided_solves_fraction == (T - 1) / T
 
 
+def test_day_of_week_model_serves_days_missing_from_training(feeder30, small_dataset,
+                                                              settings):
+    # trained on Monday and Tuesday only, every later day routes to a fitted map
+    per_day = small_dataset.steps_per_day
+    model = sg.train(small_dataset.rows(0, 2 * per_day), method=sg.DAY_OF_WEEK)
+    test_series = small_dataset.rows(2 * per_day, small_dataset.n_steps).series()
+    solutions, records, _ = run_series(model, feeder30, test_series, HybridConfig(),
+                                       settings)
+    assert len(records) == test_series.n_steps
+    assert min(s.v.min() for s in solutions) > 0.5
+
+
 def test_safety_floor_solver_calls(feeder30, small_dataset, settings):
     test_series = small_dataset.rows(0, 97).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)

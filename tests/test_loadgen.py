@@ -87,7 +87,7 @@ def test_mode_labels_recovered_by_kmeans():
     truth = mode_labels(spec, series.timestamps)
     X = np.hstack([series.P, series.Q])
     X = (X - X.mean(axis=0)) / X.std(axis=0)
-    _, labels = kmeans(X, len(spec.modes), seed=0)
+    labels = kmeans(X, len(spec.modes), seed=0).assignments
     agreeing = 0
     for k in range(len(spec.modes)):
         members = labels == k

@@ -83,9 +83,9 @@ def test_least_squares_optimality_under_perturbation():
 def test_single_cluster_center_is_mean():
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((50, 3))
-    centers, labels = kmeans(pts, 1, seed=0)
-    assert np.allclose(centers[0], pts.mean(axis=0), atol=1e-12)
-    assert np.all(labels == 0)
+    result = kmeans(pts, 1, seed=0)
+    assert np.allclose(result.centers[0], pts.mean(axis=0), atol=1e-12)
+    assert np.all(result.assignments == 0)
 
 
 def test_two_blob_recovery():
@@ -93,7 +93,7 @@ def test_two_blob_recovery():
     blob_a = rng.standard_normal((100, 2)) * 0.1
     blob_b = rng.standard_normal((100, 2)) * 0.1 + 10.0
     pts = np.vstack([blob_a, blob_b])
-    _, labels = kmeans(pts, 2, seed=0)
+    labels = kmeans(pts, 2, seed=0).assignments
     assert len(set(labels[:100])) == 1
     assert len(set(labels[100:])) == 1
     assert labels[0] != labels[100]
@@ -102,7 +102,7 @@ def test_two_blob_recovery():
 def test_wcss_monotone_and_fixed_point():
     rng = np.random.default_rng(10)
     pts = rng.standard_normal((200, 4))
-    result = kmeans(pts, 5, seed=3, full_output=True)
+    result = kmeans(pts, 5, seed=3)
     history = result.wcss_history
     assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
     # fixed point: reassign then recompute centers changes nothing
@@ -116,10 +116,10 @@ def test_wcss_monotone_and_fixed_point():
 def test_kmeans_deterministic_under_seed():
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((120, 3))
-    c1, l1 = kmeans(pts, 4, seed=42)
-    c2, l2 = kmeans(pts, 4, seed=42)
-    assert np.array_equal(c1, c2)
-    assert np.array_equal(l1, l2)
+    r1 = kmeans(pts, 4, seed=42)
+    r2 = kmeans(pts, 4, seed=42)
+    assert np.array_equal(r1.centers, r2.centers)
+    assert np.array_equal(r1.assignments, r2.assignments)
 
 
 def test_kmeans_too_many_clusters():
@@ -182,10 +182,25 @@ def test_piecewise_linear_regimes_need_clustering():
     assert err1 > 100 * err3
 
 
+def test_day_of_week_makes_one_cluster_per_weekday_present():
+    data, _, _ = linear_dataset(T=2 * 288)  # Monday and Tuesday at 5 minutes
+    model = train(data, method=sg.DAY_OF_WEEK)
+    assert model.n_c == 2
+    assert [len(d) for d in model.train_distances] == [288, 288]
+
+
+def test_evaluate_training_rows_gives_stored_distances():
+    data, _, _ = linear_dataset(noise=0.001, T=300)
+    model = train(data, method=sg.KMEANS, n_c=4, seed=1)
+    result = evaluate(model, data.inputs)
+    for k, stored in enumerate(model.train_distances):
+        assert np.array_equal(np.sort(result.distance[result.cluster == k]), stored)
+
+
 def test_small_cluster_rejected():
     data, _, _ = linear_dataset(T=30)
     with pytest.raises(SurrogateError, match="smaller n_c"):
-        train(data, method=sg.KMEANS, n_c=10, seed=0, min_cluster_size=10)
+        train(data, method=sg.KMEANS, n_c=10, seed=0)
 
 
 def test_assign_center_exactly():
