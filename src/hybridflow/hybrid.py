@@ -4,8 +4,9 @@ Before the loop, the surrogate is evaluated for the whole series and the
 input gates (distance percentile, relative load step change) are computed
 as one array. A step goes to the physics solver when its input gate fired,
 the staleness cap is reached or the model's error at the last solve was
-over budget. Each solve is warm-started from the last accepted solution
-and stores the model's error against it for the error check.
+over budget. Each solve is warm-started from the last accepted solution,
+reuses the run's inverted Jacobian (`solver.Chord`) and stores the model's
+error against it for the error check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import gc
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .loadgen import LoadSeries
 from .metrics import MetricError, eps_inf
 from .netmodel import Network
 from .report import RunSummary, summarize
-from .solver import (MODEL, SOLVER, SingularJacobianError, SolverSettings,
+from .solver import (MODEL, SOLVER, Chord, SingularJacobianError, SolverSettings,
                      VoltageSolution, solve_newton_raphson)
 
 # triggering_check values
@@ -67,6 +68,7 @@ class HybridState:
     last_accepted: VoltageSolution | None = None
     last_observed_model_error: float = math.inf
     steps_since_check: int = 0
+    chord: Chord = field(default_factory=Chord)  # used only with warm starts
 
 
 @dataclass
@@ -119,8 +121,9 @@ def step(state: HybridState, prediction: tuple[np.ndarray, np.ndarray, str | Non
         trigger = ERROR_HIGH
 
     if trigger is not None:
-        guess = state.last_accepted if settings.warm_start else None
-        solution = solve_newton_raphson(network, p_t, q_t, guess, settings)
+        guess, chord = ((state.last_accepted, state.chord) if settings.warm_start
+                        else (None, None))
+        solution = solve_newton_raphson(network, p_t, q_t, guess, settings, chord)
         if not solution.converged:
             raise SimulationError(f"solver did not converge "
                                   f"(max {settings.max_iterations} iterations)")
@@ -200,13 +203,15 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
 def run_pure_solver(network: Network, load_series: LoadSeries,
                     settings: SolverSettings) -> list[VoltageSolution]:
     """Ground-truth replay: solve every timestep, warm-starting from the
-    previous solution (flat start on the first)."""
+    previous solution and its inverted Jacobian (flat full-Newton start on
+    the first)."""
     solutions = []
+    chord = Chord() if settings.warm_start else None
     for t in range(load_series.n_steps):
         guess = solutions[-1] if solutions and settings.warm_start else None
         try:
             sol = solve_newton_raphson(network, load_series.P[t], load_series.Q[t],
-                                       guess, settings)
+                                       guess, settings, chord)
         except SingularJacobianError as exc:
             raise SimulationError(f"{exc} at {load_series.timestamps[t]} (row {t})") from None
         if not sol.converged:

@@ -71,6 +71,13 @@ class Network:
         return _frozen([b.id for b in self.buses if b.kind == PQ])
 
     @cached_property
+    def Y_pq(self) -> np.ndarray:
+        """Y over the pq rows and columns, the block the Jacobian is built from."""
+        block = self.Y[np.ix_(self.pq_indices, self.pq_indices)]
+        block.setflags(write=False)
+        return block
+
+    @cached_property
     def load_buses(self) -> np.ndarray:
         """Bus indices ordered by their position in the load vector."""
         attached = sorted((b.load_attachment, b.id) for b in self.buses

@@ -4,9 +4,15 @@ Loads are given as positive consumption (p, q) on the load-attached
 buses; injections are negated internally. Voltages are solved at every
 bus, with the slack pinned to 1.0 pu / 0.0 rad.
 
-Each iteration builds only the pq x pq blocks of the Jacobian, straight
-from the pq rows and columns of Y in O(n^2) (`_jacobian`), and solves the
-dense 2*npq system with `np.linalg.solve`; that LU is the O(n^3) floor.
+The Jacobian holds only the pq x pq blocks, built straight from the
+cached pq rows and columns of Y in O(n^2) (`_jacobian`). A solve without
+a held inverse is full Newton: every iteration builds the Jacobian and
+LU-solves the dense 2*npq system, O(n^3). A loop of warm-started solves
+passes one `Chord` holder to each: after its first solve the holder keeps
+an inverted Jacobian, and each iteration is one O(n^2) `inverse @ mismatch`
+product (chord Newton, the idea behind fast decoupled load flow). The
+inverse is refreshed, at O(n^3), only when an iteration shrank the max
+mismatch by less than half, as after a large load step.
 """
 
 from __future__ import annotations
@@ -41,6 +47,21 @@ class SolverSettings:
             raise ValueError("mismatch_tolerance must be > 0")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
+
+
+@dataclass
+class Chord:
+    """The inverted Jacobian a loop of warm-started solves carries between
+    them. It belongs to one loop: a new loop starts with an empty holder."""
+    inverse: np.ndarray | None = None
+    inversions: int = 0  # inversions so far, the first included
+
+    def invert(self, J: np.ndarray, iteration: int) -> None:
+        try:
+            self.inverse = np.linalg.inv(J)
+        except np.linalg.LinAlgError:
+            raise SingularJacobianError(iteration) from None
+        self.inversions += 1
 
 
 @dataclass
@@ -99,9 +120,15 @@ def _jacobian(Y_pp: np.ndarray, Vp: np.ndarray, Sp: np.ndarray) -> np.ndarray:
 
 def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
                          initial_guess: VoltageSolution | None = None,
-                         settings: SolverSettings | None = None) -> VoltageSolution:
-    """Polar-coordinate Newton-Raphson power flow with full Jacobian.
+                         settings: SolverSettings | None = None,
+                         chord: Chord | None = None) -> VoltageSolution:
+    """Polar-coordinate Newton-Raphson power flow.
 
+    Full Newton unless `chord` holds an inverse; given an empty `chord`, it
+    leaves the inverse of its last Jacobian there. With a held inverse each
+    iteration steps by `inverse @ mismatch`, refreshing the inverse at the
+    current point when the previous iteration shrank the max mismatch by
+    less than half. Either way convergence is judged on the true mismatch.
     Returns an explicit non-converged result if max_iterations is
     exhausted; raises SingularJacobianError on a singular system.
     """
@@ -122,21 +149,33 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
     v[slack] = 1.0
     a[slack] = 0.0
 
-    Y_pp = network.Y[np.ix_(pq, pq)]
+    full_newton = chord is None or chord.inverse is None
+    J = None
+    previous = np.inf
     for iteration in range(settings.max_iterations + 1):
         V = v * np.exp(1j * a)
         Vp = V[pq]
         Sp = Vp * np.conj((network.Y @ V)[pq])
         mismatch = target - np.concatenate([Sp.real, Sp.imag])
-        if np.max(np.abs(mismatch)) <= settings.mismatch_tolerance:
+        worst = np.max(np.abs(mismatch))
+        if worst <= settings.mismatch_tolerance:
+            if chord is not None and full_newton and J is not None:
+                chord.invert(J, iteration - 1)
             return VoltageSolution(v=v, a=a, iterations=iteration, converged=True,
                                    wall_time=time.perf_counter() - start)
         if iteration == settings.max_iterations:
             break
-        try:
-            dx = np.linalg.solve(_jacobian(Y_pp, Vp, Sp), mismatch)
-        except np.linalg.LinAlgError:
-            raise SingularJacobianError(iteration) from None
+        if full_newton:
+            J = _jacobian(network.Y_pq, Vp, Sp)
+            try:
+                dx = np.linalg.solve(J, mismatch)
+            except np.linalg.LinAlgError:
+                raise SingularJacobianError(iteration) from None
+        else:
+            if not worst <= 0.5 * previous:  # also refreshes on a NaN mismatch
+                chord.invert(_jacobian(network.Y_pq, Vp, Sp), iteration)
+            dx = chord.inverse @ mismatch
+        previous = worst
         a[pq] += dx[:npq]
         v[pq] += dx[npq:]
 

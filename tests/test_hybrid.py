@@ -233,6 +233,21 @@ def test_run_series_deterministic(feeder30, small_dataset, settings):
         == [(x.decision, x.triggering_check, x.model_eps_inf_vs_truth) for x in r2]
 
 
+def test_runs_share_no_solver_state(feeder30, small_dataset, settings):
+    # a run in between, on other loads, must not change a repeat of the first
+    series = small_dataset.rows(0, 80).series()
+    other = small_dataset.rows(300, 380).series()
+    model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
+    config = HybridConfig(max_check_interval=4)
+    s1, r1, _ = run_series(model, feeder30, series, config, settings)
+    run_series(model, feeder30, other, config, settings)
+    s2, r2, _ = run_series(model, feeder30, series, config, settings)
+    assert [(x.decision, x.triggering_check, x.solver_iterations) for x in r1] \
+        == [(x.decision, x.triggering_check, x.solver_iterations) for x in r2]
+    for a, b in zip(s1, s2):
+        assert np.array_equal(a.v, b.v) and np.array_equal(a.a, b.a)
+
+
 def test_records_csv_round_trip(tmp_path, feeder30, small_dataset, settings):
     test_series = small_dataset.rows(0, 40).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hybridflow import solver
+from hybridflow.hybrid import (HybridConfig, HybridState, SimulationError,
+                              run_pure_solver, step)
+from hybridflow.loadgen import LoadSeries
 from hybridflow.netmodel import PQ, SLACK, Bus, Line, make_network
-from hybridflow.solver import (SingularJacobianError, SolverSettings, _jacobian,
+from hybridflow.solver import (Chord, SingularJacobianError, SolverSettings, _jacobian,
                                power_mismatch, solve_newton_raphson)
 from tests.oracles import jacobian_dense, solve_gauss_seidel, solve_newton_dense
 
@@ -186,10 +190,12 @@ def test_cached_index_sets_match_buses(name, request):
     by_load = sorted((b.load_attachment, b.id) for b in buses
                      if b.load_attachment is not None)
     assert network.load_buses.tolist() == [bus for _, bus in by_load]
-    for attr in ("pq_indices", "load_buses"):
+    for attr in ("pq_indices", "load_buses", "Y_pq"):
         arr = getattr(network, attr)
         assert getattr(network, attr) is arr  # computed once per network
         assert not arr.flags.writeable
+    pq = network.pq_indices
+    assert np.array_equal(network.Y_pq, network.Y[np.ix_(pq, pq)])
 
 
 def test_iterations_match_dense_oracle_warm_started(feeder30, small_series, settings):
@@ -202,3 +208,90 @@ def test_iterations_match_dense_oracle_warm_started(feeder30, small_series, sett
         assert fast.iterations == dense.iterations, t
         assert np.max(np.abs(fast.v - dense.v)) < 1e-12
         assert np.max(np.abs(fast.a - dense.a)) < 1e-12
+
+
+def x3_step(series, start=64, at=68, stop=71, level=1.5):
+    """Rows start:stop of `series` at `level` x their loads, x3 from row `at`
+    on. Rows 64-67 lead into the evening peak. At 1x the held inverse still
+    halves the mismatch at every iteration through a x3 step; at 1.5x the
+    step leaves it stale enough to be refreshed."""
+    scale = np.where(np.arange(start, stop) >= at, 3.0 * level, level)[:, None]
+    return LoadSeries(timestamps=series.timestamps[start:stop],
+                      P=scale * series.P[start:stop], Q=scale * series.Q[start:stop])
+
+
+def test_chord_replay_meets_tolerance_and_tracks_full_newton(feeder30, small_series,
+                                                              settings):
+    chord = Chord()
+    warm = full = None
+    for t in range(small_series.n_steps):
+        p, q = small_series.P[t], small_series.Q[t]
+        warm = solve_newton_raphson(feeder30, p, q, warm, settings, chord)
+        full = solve_newton_raphson(feeder30, p, q, full, settings)
+        assert warm.converged, t
+        residual = power_mismatch(feeder30, p, q, warm.v, warm.a)
+        assert np.max(np.abs(residual)) <= settings.mismatch_tolerance, t
+        if t == 0:  # a loop's first solve, with an empty holder, is full Newton
+            assert np.array_equal(warm.v, full.v) and np.array_equal(warm.a, full.a)
+        assert np.max(np.abs(warm.v - full.v)) < 1e-7, t
+        assert np.max(np.abs(warm.a - full.a)) < 1e-7, t
+    assert 1 <= chord.inversions <= small_series.n_steps // 100
+
+
+def test_load_step_refreshes_the_inverse(feeder30, small_series, settings):
+    series = x3_step(small_series)
+    chord = Chord()
+    sol = None
+    inversions = []
+    for t in range(series.n_steps):
+        sol = solve_newton_raphson(feeder30, series.P[t], series.Q[t], sol, settings, chord)
+        assert sol.converged, t
+        residual = power_mismatch(feeder30, series.P[t], series.Q[t], sol.v, sol.a)
+        assert np.max(np.abs(residual)) <= settings.mismatch_tolerance, t
+        inversions.append(chord.inversions)
+    # the first solve leaves one inverse, which serves until the x3 step
+    assert inversions[:4] == [1, 1, 1, 1] and inversions[4] > 1
+
+
+def test_singular_jacobian_at_refresh_names_the_row(feeder30, small_series, settings,
+                                                   monkeypatch):
+    series = x3_step(small_series)
+    built = []
+    real = solver._jacobian
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_jacobian", counting)
+    solve_newton_raphson(feeder30, series.P[0], series.Q[0], None, settings)
+    first_solve = len(built)
+    built.clear()
+
+    def singular_after_first_solve(*args):
+        J = counting(*args)
+        return J if len(built) <= first_solve else np.zeros_like(J)
+
+    monkeypatch.setattr(solver, "_jacobian", singular_after_first_solve)
+    stamp = np.datetime_as_string(series.timestamps[4], unit="s")
+    with pytest.raises(SimulationError, match=rf"^singular Jacobian at Newton iteration "
+                                              rf"[1-9]\d* at {stamp} \(row 4\)$"):
+        run_pure_solver(feeder30, series, settings)
+
+
+def test_cold_starts_carry_no_inverse(feeder30, small_series):
+    settings = SolverSettings(warm_start=False)
+    series = LoadSeries(timestamps=small_series.timestamps[:20],
+                        P=small_series.P[:20], Q=small_series.Q[:20])
+    for t, sol in enumerate(run_pure_solver(feeder30, series, settings)):
+        direct = solve_newton_raphson(feeder30, series.P[t], series.Q[t], None, settings)
+        assert np.array_equal(sol.v, direct.v) and np.array_equal(sol.a, direct.a)
+        assert sol.iterations == direct.iterations
+
+    state = HybridState()
+    prediction = (np.ones(feeder30.n_bus), np.zeros(feeder30.n_bus), "step_change")
+    for t in range(2):
+        _, record, state = step(state, prediction, feeder30, series.P[t], series.Q[t],
+                                HybridConfig(), settings)
+        assert record.decision == "solver"
+    assert state.chord.inverse is None and state.chord.inversions == 0
