@@ -30,7 +30,7 @@ class SurrogateSettings:
     seed: int = 0
     intercept: bool = True
     standardize: bool = True
-    model_file: str = "surrogate.json"
+    model_file: str = "surrogate.npz"
 
 
 @dataclass

@@ -143,6 +143,44 @@ def write_csv(dataset: Dataset, path) -> None:
 
 
 def read_csv(path) -> Dataset:
+    """Read a dataset CSV. The data rows are parsed in C by `np.loadtxt`;
+    a file it cannot take row for row goes to the validating reader, which
+    names the offending line or reads what the fast parse could not."""
+    with open(path, newline="") as f:
+        try:
+            header = next(csv.reader(f))
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        n_p, n_v = _parse_header(path, header)
+        lines = 0
+
+        def counted(rows):  # np.loadtxt skips blank lines, the csv reader does not
+            nonlocal lines
+            for line in rows:
+                lines += 1
+                yield line
+
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a header-only file is "no data"
+                table = np.loadtxt(counted(f), delimiter=",", quotechar='"',
+                                   comments=None, ndmin=2, converters={0: _epoch_seconds})
+        except ValueError:
+            table = None
+    if (table is None or not lines or len(table) != lines
+            or table.shape[1] != 1 + 2 * (n_p + n_v)):
+        return _read_csv_validating(path)
+    timestamps = table[:, 0].astype(np.int64).astype("datetime64[s]")
+    return _checked(path, header, n_p, n_v, timestamps, table[:, 1:])
+
+
+def _epoch_seconds(text: str) -> float:
+    # exact as a float for any stamp below 2**53 s
+    return float(parse_timestamp(text).astype(np.int64))
+
+
+def _read_csv_validating(path) -> Dataset:
+    """Row-by-row reader; its errors name the file line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -167,13 +205,19 @@ def read_csv(path) -> Dataset:
                 raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
     if not values:
         raise DatasetError(f"{path}: no data rows")
-    data = np.array(values)
+    return _checked(path, header, n_p, n_v, np.array(timestamps, dtype="datetime64[s]"),
+                    np.array(values))
+
+
+def _checked(path, header: list[str], n_p: int, n_v: int, ts: np.ndarray,
+             data: np.ndarray) -> Dataset:
+    """The parsed rows as a Dataset, once every value is finite and the
+    timestamps increase; data row t is file line t + 2."""
     finite = np.isfinite(data)
     if not finite.all():
         t, k = np.argwhere(~finite)[0]  # the first bad row, then its first bad column
         raise DatasetError(f"{path}:{t + 2}: non-finite value in column "
                            f"{header[1 + k]!r}")
-    ts = np.array(timestamps, dtype="datetime64[s]")
     if len(ts) > 1 and (np.diff(ts.astype(np.int64)) <= 0).any():
         bad = int(np.argmax(np.diff(ts.astype(np.int64)) <= 0)) + 3  # header + 1-based + next row
         raise DatasetError(f"{path}:{bad}: non-monotone timestamp")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import surrogate as sg
-from .dataset import format_timestamp, parse_timestamp
+from .dataset import parse_timestamp
 from .loadgen import LoadSeries
 from .metrics import MetricError, eps_inf
 from .netmodel import Network
@@ -78,7 +78,7 @@ class StepRecord:
     triggering_check: str | None
     model_eps_inf_vs_truth: float | None = None
     solver_iterations: int | None = None
-    wall_time: float = 0.0
+    wall_time: float | None = 0.0          # None when read back from records.csv
 
 
 def input_gates(X: np.ndarray, percentile: np.ndarray,
@@ -226,12 +226,16 @@ RECORD_HEADER = ["timestamp", "decision", "triggering_check", "eps_inf",
 
 
 def write_records(records: list[StepRecord], path) -> None:
+    """The records as CSV; wall times are not written, so reruns are
+    byte-identical."""
+    stamps = np.datetime_as_string(np.array([r.timestamp for r in records],
+                                            dtype="datetime64[s]"), unit="s").tolist()
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(RECORD_HEADER)
-        for r in records:
+        for stamp, r in zip(stamps, records):
             writer.writerow([
-                format_timestamp(r.timestamp),
+                stamp + "Z",
                 r.decision,
                 r.triggering_check or "",
                 "" if r.model_eps_inf_vs_truth is None
@@ -252,7 +256,8 @@ def read_records(path) -> list[StepRecord]:
                 stamp, decision, check, error, iterations = row
                 records.append(StepRecord(parse_timestamp(stamp), decision, check or None,
                                           float(error) if error else None,
-                                          int(iterations) if iterations else None))
+                                          int(iterations) if iterations else None,
+                                          wall_time=None))
             except ValueError:
                 raise ValueError(f"{path}:{reader.line_num}: malformed record "
                                  f"{row!r}") from None

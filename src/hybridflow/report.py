@@ -32,11 +32,11 @@ class RunSummary:
     max_eps_inf: float
     fraction_above_threshold: float
     threshold: float
-    wall_time_solver: float
-    wall_time_model: float
+    wall_time_solver: float | None        # the four times are None when any
+    wall_time_model: float | None         # record carries no wall time
     mean_solver_iterations: float
-    mean_step_time_solver: float
-    mean_step_time_model: float
+    mean_step_time_solver: float | None
+    mean_step_time_model: float | None
 
 
 def step_errors(records: list[StepRecord]) -> np.ndarray:
@@ -58,8 +58,9 @@ def summarize(records: list[StepRecord], threshold: float = 0.01) -> RunSummary:
     errors = step_errors(records)
     iterations = [r.solver_iterations for r in solver_steps
                   if r.solver_iterations is not None]
-    solver_time = sum(r.wall_time for r in solver_steps)
-    model_time = sum(r.wall_time for r in model_steps)
+    timed = all(r.wall_time is not None for r in records)
+    solver_time = sum(r.wall_time for r in solver_steps) if timed else None
+    model_time = sum(r.wall_time for r in model_steps) if timed else None
     return RunSummary(
         n_steps=n,
         avoided_solves_fraction=len(model_steps) / n,
@@ -70,9 +71,15 @@ def summarize(records: list[StepRecord], threshold: float = 0.01) -> RunSummary:
         wall_time_solver=solver_time,
         wall_time_model=model_time,
         mean_solver_iterations=(float(np.mean(iterations)) if iterations else 0.0),
-        mean_step_time_solver=(solver_time / len(solver_steps) if solver_steps else 0.0),
-        mean_step_time_model=(model_time / len(model_steps) if model_steps else 0.0),
+        mean_step_time_solver=_mean_time(solver_time, len(solver_steps)),
+        mean_step_time_model=_mean_time(model_time, len(model_steps)),
     )
+
+
+def _mean_time(total: float | None, count: int) -> float | None:
+    if total is None:
+        return None
+    return total / count if count else 0.0
 
 
 @dataclass
@@ -120,11 +127,15 @@ def format_summary(summary: RunSummary) -> str:
         f"median eps_inf:           {summary.median_eps_inf:.3e}",
         f"max eps_inf:              {summary.max_eps_inf:.3e}",
         f"above {summary.threshold:g} threshold:   {summary.fraction_above_threshold:.2%}",
-        f"solver wall time:         {summary.wall_time_solver:.3f} s",
-        f"model wall time:          {summary.wall_time_model:.3f} s",
+        f"solver wall time:         {_seconds(summary.wall_time_solver)}",
+        f"model wall time:          {_seconds(summary.wall_time_model)}",
         f"mean solver iterations:   {summary.mean_solver_iterations:.2f}",
     ]
     return "\n".join(lines)
+
+
+def _seconds(value: float | None) -> str:
+    return "not recorded" if value is None else f"{value:.3f} s"
 
 
 def write_histogram(hist: Histogram, path) -> None:

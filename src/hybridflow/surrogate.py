@@ -12,6 +12,7 @@ it with that cluster's map, and returns one `Evaluation` of arrays.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,11 @@ KMEANS = "kmeans"
 DAY_OF_WEEK = "day_of_week"
 NONE = "none"
 
-FORMAT_VERSION = 2
+FORMAT_NAME = "hybridflow-surrogate"
+FORMAT_VERSION = 3
+# the arrays of a version-3 archive besides `format` and `version`
+ARCHIVE_ARRAYS = ("method", "centers", "coef", "intercept", "input_mean", "input_scale",
+                  "train_distances", "train_sizes")
 MIN_CLUSTER_SIZE = 10  # fewest training rows a cluster's map is fit on
 
 
@@ -229,45 +234,61 @@ def evaluate(surrogate: ClusteredSurrogate, X: np.ndarray) -> Evaluation:
 
 
 def save(surrogate: ClusteredSurrogate, path) -> None:
-    """Serialize to a versioned, self-describing JSON file."""
-    doc = {
-        "format": "hybridflow-surrogate",
-        "version": FORMAT_VERSION,
-        "method": surrogate.method,
-        "centers": surrogate.centers.tolist(),
-        "coef": surrogate.coef.tolist(),
-        "intercept": surrogate.intercept.tolist(),
-        "input_mean": surrogate.input_mean.tolist(),
-        "input_scale": surrogate.input_scale.tolist(),
-        "train_distances": [d.tolist() for d in surrogate.train_distances],
-    }
-    with open(path, "w") as f:
-        f.write(json.dumps(doc, sort_keys=True))  # json.dump skips the C encoder
+    """Serialize to a versioned, self-describing, uncompressed .npz archive.
+    The ragged per-cluster training distances are stored as one flat array
+    plus one length per cluster."""
+    with open(path, "wb") as f:  # a handle, since np.savez appends .npz to a name
+        np.savez(f, format=np.array(FORMAT_NAME), version=np.array(FORMAT_VERSION),
+                 method=np.array(surrogate.method), centers=surrogate.centers,
+                 coef=surrogate.coef, intercept=surrogate.intercept,
+                 input_mean=surrogate.input_mean, input_scale=surrogate.input_scale,
+                 train_distances=np.concatenate(surrogate.train_distances),
+                 train_sizes=np.array([len(d) for d in surrogate.train_distances],
+                                      dtype=np.int64))
 
 
 def load(path) -> ClusteredSurrogate:
-    with open(path) as f:
+    with open(path, "rb") as f:
+        is_zip = f.read(4) == b"PK\x03\x04"  # the zip magic that opens every .npz
+        f.seek(0)
+        if not is_zip:
+            raise SurrogateError(f"{path}: {_not_an_archive(f)}")
         try:
-            doc = json.load(f)
-        except ValueError as exc:  # JSON syntax, or bytes that are not text
-            raise SurrogateError(f"{path}: not a JSON file: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != "hybridflow-surrogate":
+            with np.load(f, allow_pickle=False) as archive:
+                fields = {name: np.asarray(archive[name]) for name in archive.files}
+        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+            raise SurrogateError(f"{path}: unreadable model archive: {exc}") from None
+    if fields.get("format", np.array("")).tolist() != FORMAT_NAME:
         raise SurrogateError(f"{path}: not a surrogate model file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise SurrogateError(f"{path}: unsupported version {doc.get('version')}")
-    try:
-        surrogate = ClusteredSurrogate(
-            method=doc["method"],
-            centers=np.array(doc["centers"], dtype=float),
-            coef=np.array(doc["coef"], dtype=float),
-            intercept=np.array(doc["intercept"], dtype=float),
-            train_distances=[np.array(d, dtype=float) for d in doc["train_distances"]],
-            input_mean=np.array(doc["input_mean"], dtype=float),
-            input_scale=np.array(doc["input_scale"], dtype=float),
-        )
-    except KeyError as exc:
-        raise SurrogateError(f"{path}: missing key '{exc.args[0]}'") from None
-    for k, dists in enumerate(surrogate.train_distances):
+    version = fields.get("version", np.array(None)).tolist()
+    if version != FORMAT_VERSION:
+        raise SurrogateError(f"{path}: unsupported version {version}")
+    for name in ARCHIVE_ARRAYS:
+        if name not in fields:
+            raise SurrogateError(f"{path}: missing key '{name}'")
+    flat, sizes, n_c = fields["train_distances"], fields["train_sizes"], len(fields["centers"])
+    if (flat.ndim != 1 or sizes.ndim != 1 or sizes.dtype.kind not in "iu" or len(sizes) != n_c
+            or (sizes < 0).any() or sizes.sum() != flat.size):
+        raise SurrogateError(f"{path}: train_sizes {sizes.tolist()} do not split "
+                             f"{flat.size} train_distances into {n_c} clusters")
+    train_distances = np.split(flat, np.cumsum(sizes)[:-1])
+    for k, dists in enumerate(train_distances):
         if not len(dists):  # no fitted map behind it: a cluster must have training rows
             raise SurrogateError(f"{path}: cluster {k} has no training rows; retrain")
-    return surrogate
+    return ClusteredSurrogate(method=str(fields["method"]), centers=fields["centers"],
+                              coef=fields["coef"], intercept=fields["intercept"],
+                              train_distances=train_distances,
+                              input_mean=fields["input_mean"],
+                              input_scale=fields["input_scale"])
+
+
+def _not_an_archive(f) -> str:
+    """Why a file that is not a zip archive cannot be loaded; a JSON model
+    written by format version 1 or 2 is named by its version."""
+    try:
+        doc = json.load(f)
+    except ValueError:  # JSON syntax, or bytes that are not text
+        doc = None
+    if isinstance(doc, dict) and doc.get("format") == FORMAT_NAME:
+        return f"unsupported version {doc.get('version')}"
+    return "not a surrogate model file (expected an .npz archive)"

@@ -247,11 +247,19 @@ def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, 
     _one_error_line(capsys)
 
 
+def _damaged_model(workdir, tmp_path, damage) -> Path:
+    """The trained model's archive with `damage` applied to its arrays."""
+    with np.load(workdir / "out" / "surrogate.json") as archive:
+        fields = dict(archive)
+    damage(fields)
+    damaged = tmp_path / "damaged.npz"
+    with open(damaged, "wb") as f:
+        np.savez(f, **fields)
+    return damaged
+
+
 def test_surrogate_missing_key_is_one_line_error(workdir, tmp_path, capsys):
-    doc = json.loads((workdir / "out" / "surrogate.json").read_text())
-    del doc["coef"]
-    damaged = tmp_path / "damaged.json"
-    damaged.write_text(json.dumps(doc))
+    damaged = _damaged_model(workdir, tmp_path, lambda fields: fields.pop("coef"))
     config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.json",
                           f"model_file: {damaged}")
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),
@@ -261,10 +269,13 @@ def test_surrogate_missing_key_is_one_line_error(workdir, tmp_path, capsys):
 
 def test_surrogate_empty_cluster_is_one_line_error(workdir, tmp_path, capsys):
     # a cluster without training rows: the zero-map weekday of older files
-    doc = json.loads((workdir / "out" / "surrogate.json").read_text())
-    doc["train_distances"][1] = []
-    damaged = tmp_path / "damaged.json"
-    damaged.write_text(json.dumps(doc))
+    def empty_cluster_1(fields):
+        sizes = fields["train_sizes"]
+        fields["train_distances"] = np.delete(fields["train_distances"],
+                                              np.s_[sizes[0]:sizes[0] + sizes[1]])
+        sizes[1] = 0
+
+    damaged = _damaged_model(workdir, tmp_path, empty_cluster_1)
     config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.json",
                           f"model_file: {damaged}")
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),

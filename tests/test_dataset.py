@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from hybridflow import dataset as ds
 from hybridflow.dataset import (Dataset, DatasetError, SplitSpec, read_csv,
                                 split, write_csv)
 
@@ -151,3 +152,64 @@ def test_round_trip_property(tmp_path_factory, T, n_p, n_v, seed):
     assert np.array_equal(loaded.outputs_v, data.outputs_v)
     assert np.array_equal(loaded.outputs_a, data.outputs_a)
     assert np.array_equal(loaded.timestamps, data.timestamps)
+
+
+ROWS = ["2024-01-01T00:%02d:00Z,0.1,0.02,0.99,-0.01" % (5 * t) for t in range(4)]
+TEXT = "timestamp,p_0,q_0,v_0,a_0\n" + "".join(row + "\n" for row in ROWS)
+
+
+@pytest.mark.parametrize("edit, outcome", [
+    (lambda text: text, None),
+    (lambda text: text.replace("\n", "\r\n"), None),
+    (lambda text: text[:-1], None),
+    (lambda text: text.replace("00:05:00Z,0.1", '00:05:00Z,"0.1"'), None),
+    (lambda text: text.replace(ROWS[2], "\n" + ROWS[2]), "d.csv:4: expected 5 columns, got 0"),
+    (lambda text: text.replace(ROWS[2], "# note\n" + ROWS[2]),
+     "d.csv:4: expected 5 columns, got 1"),
+    (lambda text: text.replace(ROWS[2], ROWS[2] + ",0.5"), "d.csv:4: expected 5 columns, got 6"),
+    (lambda text: text.replace(ROWS[2], ROWS[2][:-6]), "d.csv:4: expected 5 columns, got 4"),
+    (lambda text: text.replace("00:05:00Z", "00:65:00Z"),
+     "d.csv:3: bad timestamp '2024-01-01T00:65:00Z'"),
+    (lambda text: text.replace("00:05:00Z,0.1", "00:05:00Z,0.1x"), "d.csv:3: non-numeric value"),
+    (lambda text: text.replace(ROWS[3], ROWS[3].replace("0.99", "nan")),
+     "d.csv:5: non-finite value in column 'v_0'"),
+    (lambda text: text.replace(ROWS[0], ROWS[0].replace("-0.01", "inf")),
+     "d.csv:2: non-finite value in column 'a_0'"),
+    (lambda text: text.split("\n")[0] + "\n", "d.csv: no data rows"),
+    (lambda text: "", "d.csv: empty file"),
+], ids=["lf", "crlf", "no_final_newline", "quoted_cell", "blank_line", "hash_line",
+        "long_row", "short_row", "bad_timestamp", "non_numeric", "nan", "inf",
+        "header_only", "empty"])
+def test_reader_matches_validating_reader(tmp_path, edit, outcome):
+    """The C-parsed reader returns what the row-by-row reader returns, or
+    raises its error, on every file."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(edit(TEXT).encode())
+
+    def result(reader):
+        try:
+            data = reader(path)
+        except DatasetError as exc:
+            return str(exc)
+        return [(a.dtype, a.shape, a.tobytes()) for a in
+                (data.timestamps, data.inputs, data.outputs_v, data.outputs_a)]
+
+    fast, reference = result(read_csv), result(ds._read_csv_validating)
+    assert fast == reference
+    if outcome is None:
+        assert not isinstance(fast, str)
+    else:
+        assert fast == f"{tmp_path}/{outcome}"
+
+
+def test_written_files_take_the_fast_path(tmp_path, monkeypatch):
+    data = make_data(T=20, n_p=3, n_v=2, seed=6)
+    write_csv(data, tmp_path / "d.csv")
+
+    def unexpected(path):
+        raise AssertionError("read by the validating reader")
+
+    monkeypatch.setattr(ds, "_read_csv_validating", unexpected)
+    loaded = read_csv(tmp_path / "d.csv")
+    assert np.array_equal(loaded.timestamps, data.timestamps)
+    assert np.array_equal(loaded.inputs, data.inputs)

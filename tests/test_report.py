@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from hybridflow.hybrid import StepRecord
+from hybridflow.dataset import format_timestamp
+from hybridflow.hybrid import StepRecord, read_records, write_records
 from hybridflow.report import (ReportError, format_summary, histogram,
                                step_errors, summarize, write_error_series,
                                write_histogram, write_summary)
@@ -119,3 +120,22 @@ def test_error_series_with_clusters(tmp_path):
     assert rows[2][3] == "1"
     with pytest.raises(ReportError):
         write_error_series(records, [0], tmp_path / "bad.csv")
+
+
+def test_records_read_back_carry_no_wall_time(tmp_path):
+    records = [record(0, "solver", iters=2), record(1, "model", eps=0.003),
+               record(2, "model", eps=0.001)]
+    write_records(records, tmp_path / "records.csv")
+    lines = (tmp_path / "records.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        format_timestamp(r.timestamp) for r in records]
+    loaded = read_records(tmp_path / "records.csv")
+    assert [r.wall_time for r in loaded] == [None] * 3
+    summary = summarize(loaded)
+    assert summary.wall_time_solver is None and summary.wall_time_model is None
+    assert summary.mean_step_time_solver is None and summary.mean_step_time_model is None
+    assert summary.avoided_solves_fraction == summarize(records).avoided_solves_fraction
+    text = format_summary(summary)
+    assert "solver wall time:         not recorded" in text
+    assert "model wall time:          not recorded" in text
+    assert "model wall time:          0.000 s" in format_summary(summarize(records))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,50 @@ def test_serialized_determinism(tmp_path):
     sg.save(train(data, method=sg.KMEANS, n_c=3, seed=5), p1)
     sg.save(train(data, method=sg.KMEANS, n_c=3, seed=5), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_writes_exactly_the_given_path(tmp_path):
+    data, _, _ = linear_dataset(noise=0.01)
+    model = train(data, method=sg.KMEANS, n_c=3, seed=5)
+    sg.save(model, tmp_path / "model.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+    loaded = sg.load(tmp_path / "model.json")
+    for mine, theirs in zip(loaded.train_distances, model.train_distances):
+        assert np.array_equal(mine, theirs)
+
+
+def test_version_2_json_model_is_rejected(tmp_path):
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps({"format": "hybridflow-surrogate", "version": 2,
+                                "method": "none", "centers": [[0.0]]}))
+    with pytest.raises(SurrogateError, match=r"v2\.json: unsupported version 2$"):
+        sg.load(path)
+
+
+@pytest.mark.parametrize("content", [b"", b"[1, 2]", b"\x93NUMPY"], ids=["empty", "json", "npy"])
+def test_non_archive_is_rejected(tmp_path, content):
+    path = tmp_path / "model.npz"
+    path.write_bytes(content)
+    with pytest.raises(SurrogateError, match=r"model\.npz: not a surrogate model file"):
+        sg.load(path)
+
+
+def test_non_surrogate_archive_is_rejected(tmp_path):
+    path = tmp_path / "other.npz"
+    np.savez(path, x=np.arange(3))
+    with pytest.raises(SurrogateError, match=r"other\.npz: not a surrogate model file$"):
+        sg.load(path)
+
+
+@pytest.mark.parametrize("sizes", [[100, 50, 49], [200, 1, -1], [200]],
+                         ids=["short", "negative", "too_few"])
+def test_bad_train_sizes_are_rejected(tmp_path, sizes):
+    data, _, _ = linear_dataset(noise=0.01)
+    sg.save(train(data, method=sg.KMEANS, n_c=3, seed=5), tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as archive:
+        fields = dict(archive)
+    assert fields["train_sizes"].sum() == len(fields["train_distances"]) == 200
+    fields["train_sizes"] = np.array(sizes)
+    np.savez(tmp_path / "bad.npz", **fields)
+    with pytest.raises(SurrogateError, match=r"bad\.npz: train_sizes .* do not split"):
+        sg.load(tmp_path / "bad.npz")
