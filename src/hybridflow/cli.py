@@ -94,7 +94,8 @@ def cmd_report(config: RunConfig, records_path, bin_width: float, clip: float) -
     records = hybrid.read_records(records_path)
     summary = report.summarize(records, threshold=config.hybrid.error_check_threshold)
     out = config.out
-    report.write_summary(summary, out / "summary.json")
+    # its own name: `simulate` writes summary.json, with measured wall times
+    report.write_summary(summary, out / "report_summary.json")
     errors = report.step_errors(records)
     hist = report.histogram(errors, bin_width=bin_width, clip=clip)
     report.write_histogram(hist, out / "error_histogram.csv")

@@ -124,7 +124,10 @@ def format_timestamp(t: np.datetime64) -> str:
 
 def parse_timestamp(text: str) -> np.datetime64:
     """Inverse of format_timestamp; raises ValueError on a malformed stamp."""
-    return np.datetime64(text.rstrip("Z"), "s")
+    stamp = np.datetime64(text.rstrip("Z"), "s")
+    if np.isnat(stamp):  # numpy reads an empty cell or 'NaT' as not-a-time
+        raise ValueError(f"not a timestamp: {text!r}")
+    return stamp
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -143,84 +146,61 @@ def write_csv(dataset: Dataset, path) -> None:
 
 
 def read_csv(path) -> Dataset:
-    """Read a dataset CSV. The data rows are parsed in C by `np.loadtxt`;
-    a file it cannot take row for row goes to the validating reader, which
-    names the offending line or reads what the fast parse could not."""
+    """Read a dataset CSV in one pass; every error names the file line.
+
+    A generator checks each data row's cell count and timestamp as
+    `np.loadtxt` pulls it and hands on the rest of the line, whose numbers
+    the C parser converts. That parser converts each row before it pulls
+    the next, so a conversion error belongs to the generator's current line.
+    """
     with open(path, newline="") as f:
         try:
             header = next(csv.reader(f))
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
         n_p, n_v = _parse_header(path, header)
-        lines = 0
+        width = 1 + 2 * (n_p + n_v)
+        stamps = []
+        lineno = 1
 
-        def counted(rows):  # np.loadtxt skips blank lines, the csv reader does not
-            nonlocal lines
-            for line in rows:
-                lines += 1
-                yield line
+        def values():
+            nonlocal lineno
+            for lineno, line in enumerate(f, start=2):
+                cells = line.count(",") + 1 if line.strip("\r\n") else 0
+                if cells != width:
+                    raise DatasetError(f"{path}:{lineno}: expected {width} columns, "
+                                       f"got {cells}")
+                stamp, _, rest = line.partition(",")
+                if len(stamp) > 1 and stamp[0] == stamp[-1] == '"':
+                    stamp = stamp[1:-1]
+                try:
+                    stamps.append(parse_timestamp(stamp))
+                except ValueError:
+                    raise DatasetError(f"{path}:{lineno}: bad timestamp {stamp!r}") from None
+                yield rest
 
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # a header-only file is "no data"
-                table = np.loadtxt(counted(f), delimiter=",", quotechar='"',
-                                   comments=None, ndmin=2, converters={0: _epoch_seconds})
+                data = np.loadtxt(values(), delimiter=",", quotechar='"',
+                                  comments=None, ndmin=2)
+        except DatasetError:
+            raise
         except ValueError:
-            table = None
-    if (table is None or not lines or len(table) != lines
-            or table.shape[1] != 1 + 2 * (n_p + n_v)):
-        return _read_csv_validating(path)
-    timestamps = table[:, 0].astype(np.int64).astype("datetime64[s]")
-    return _checked(path, header, n_p, n_v, timestamps, table[:, 1:])
-
-
-def _epoch_seconds(text: str) -> float:
-    # exact as a float for any stamp below 2**53 s
-    return float(parse_timestamp(text).astype(np.int64))
-
-
-def _read_csv_validating(path) -> Dataset:
-    """Row-by-row reader; its errors name the file line."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        n_p, n_v = _parse_header(path, header)
-        width = 1 + 2 * n_p + 2 * n_v
-        timestamps = []
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise DatasetError(f"{path}:{lineno}: expected {width} columns, "
-                                   f"got {len(row)}")
-            try:
-                timestamps.append(parse_timestamp(row[0]))
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
-            try:
-                values.append(np.array(row[1:], dtype=float))
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
-    if not values:
+            raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
+    if not stamps:
         raise DatasetError(f"{path}: no data rows")
-    return _checked(path, header, n_p, n_v, np.array(timestamps, dtype="datetime64[s]"),
-                    np.array(values))
-
-
-def _checked(path, header: list[str], n_p: int, n_v: int, ts: np.ndarray,
-             data: np.ndarray) -> Dataset:
-    """The parsed rows as a Dataset, once every value is finite and the
-    timestamps increase; data row t is file line t + 2."""
+    # data row t is file line t + 2
     finite = np.isfinite(data)
     if not finite.all():
         t, k = np.argwhere(~finite)[0]  # the first bad row, then its first bad column
         raise DatasetError(f"{path}:{t + 2}: non-finite value in column "
                            f"{header[1 + k]!r}")
-    if len(ts) > 1 and (np.diff(ts.astype(np.int64)) <= 0).any():
-        bad = int(np.argmax(np.diff(ts.astype(np.int64)) <= 0)) + 3  # header + 1-based + next row
-        raise DatasetError(f"{path}:{bad}: non-monotone timestamp")
+    ts = np.array(stamps, dtype="datetime64[s]")
+    not_increasing = np.diff(ts.astype(np.int64)) <= 0
+    if not_increasing.any():  # the later row of pair t is line t + 3
+        raise DatasetError(f"{path}:{int(not_increasing.argmax()) + 3}: "
+                           f"non-monotone timestamp")
     return Dataset(
         timestamps=ts,
         inputs=data[:, :2 * n_p],

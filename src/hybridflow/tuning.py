@@ -79,9 +79,11 @@ def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
           ) -> list[SweepPoint]:
     """Run the grid on the calibration slice of the test series."""
     settings = settings or SolverSettings()
-    steps_per_day = 1440 * 60 // int(
-        (test_series.timestamps[1] - test_series.timestamps[0])
-        / np.timedelta64(1, "s"))
+    step = int((test_series.timestamps[1] - test_series.timestamps[0])
+               / np.timedelta64(1, "s"))
+    if 86400 % step != 0:
+        raise TuningError(f"step of {step} s does not divide one day")
+    steps_per_day = 86400 // step
     lo = spec.calibration_days[0] * steps_per_day
     hi = spec.calibration_days[1] * steps_per_day
     if hi > test_series.n_steps or lo >= hi:

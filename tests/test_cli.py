@@ -348,6 +348,17 @@ def test_report_from_records(workdir, capsys):
     assert "median eps_inf" in capsys.readouterr().out
 
 
+def test_report_keeps_the_simulate_summary(workdir):
+    config = workdir / "run.yaml"
+    out = workdir / "out"
+    assert main(["--config", str(config), "simulate"]) == 0
+    written = (out / "summary.json").read_bytes()
+    assert main(["--config", str(config), "report", "--records",
+                 str(out / "records.csv")]) == 0
+    assert (out / "summary.json").read_bytes() == written
+    assert (out / "report_summary.json").exists()
+
+
 def test_missing_config_is_error(tmp_path):
     assert main(["--config", str(tmp_path / "nope.yaml"), "generate"]) == 1
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from hybridflow import dataset as ds
 from hybridflow.dataset import (Dataset, DatasetError, SplitSpec, read_csv,
                                 split, write_csv)
+from tests.oracles import read_csv_rowwise
 
 
 def make_data(T=96, n_p=2, n_v=3, seed=0, step_minutes=15):
@@ -95,7 +95,10 @@ def test_nan_value_cites_row(tmp_path):
 @pytest.mark.parametrize("cell, column, message", [
     ("2024-01-01T00:61:00Z", 0, "bad timestamp '2024-01-01T00:61:00Z'"),
     ("0.1x", 2, "non-numeric value"),
-], ids=["bad_timestamp", "non_numeric"])
+    # cells are counted by their commas: a quoted comma, which no writer
+    # produces, makes one more column rather than a non-numeric value
+    ('"0,1"', 2, "expected 5 columns, got 6"),
+], ids=["bad_timestamp", "non_numeric", "quoted_comma"])
 def test_bad_cell_cites_line(tmp_path, cell, column, message):
     path = tmp_path / "bad.csv"
     rows = [["2024-01-01T00:%02d:00Z" % (5 * t), "0.1", "0.02", "0.99", "-0.01"]
@@ -177,11 +180,19 @@ TEXT = "timestamp,p_0,q_0,v_0,a_0\n" + "".join(row + "\n" for row in ROWS)
      "d.csv:2: non-finite value in column 'a_0'"),
     (lambda text: text.split("\n")[0] + "\n", "d.csv: no data rows"),
     (lambda text: "", "d.csv: empty file"),
+    (lambda text: text.replace(ROWS[3], ROWS[3].replace("0.99", "0.9x")),
+     "d.csv:5: non-numeric value"),
+    (lambda text: text.replace("00:05:00Z,0.1", "00:05:00Z,0.1x").replace("\n", "\r\n"),
+     "d.csv:3: non-numeric value"),
+    (lambda text: text.replace("00:05:00Z,0.1", "00:05:00Z,"), "d.csv:3: non-numeric value"),
+    (lambda text: text.replace("2024-01-01T00:05:00Z", '"2024-01-01T00:05:00Z"'), None),
+    (lambda text: text.replace("2024-01-01T00:10:00Z", ""), "d.csv:4: bad timestamp ''"),
 ], ids=["lf", "crlf", "no_final_newline", "quoted_cell", "blank_line", "hash_line",
         "long_row", "short_row", "bad_timestamp", "non_numeric", "nan", "inf",
-        "header_only", "empty"])
+        "header_only", "empty", "last_row_non_numeric", "crlf_non_numeric", "empty_cell",
+        "quoted_timestamp", "empty_timestamp"])
 def test_reader_matches_validating_reader(tmp_path, edit, outcome):
-    """The C-parsed reader returns what the row-by-row reader returns, or
+    """The reader returns what the row-by-row reference reader returns, or
     raises its error, on every file."""
     path = tmp_path / "d.csv"
     path.write_bytes(edit(TEXT).encode())
@@ -194,7 +205,7 @@ def test_reader_matches_validating_reader(tmp_path, edit, outcome):
         return [(a.dtype, a.shape, a.tobytes()) for a in
                 (data.timestamps, data.inputs, data.outputs_v, data.outputs_a)]
 
-    fast, reference = result(read_csv), result(ds._read_csv_validating)
+    fast, reference = result(read_csv), result(read_csv_rowwise)
     assert fast == reference
     if outcome is None:
         assert not isinstance(fast, str)
@@ -202,14 +213,14 @@ def test_reader_matches_validating_reader(tmp_path, edit, outcome):
         assert fast == f"{tmp_path}/{outcome}"
 
 
-def test_written_files_take_the_fast_path(tmp_path, monkeypatch):
-    data = make_data(T=20, n_p=3, n_v=2, seed=6)
-    write_csv(data, tmp_path / "d.csv")
-
-    def unexpected(path):
-        raise AssertionError("read by the validating reader")
-
-    monkeypatch.setattr(ds, "_read_csv_validating", unexpected)
-    loaded = read_csv(tmp_path / "d.csv")
-    assert np.array_equal(loaded.timestamps, data.timestamps)
-    assert np.array_equal(loaded.inputs, data.inputs)
+def test_non_numeric_cell_deep_in_a_long_file_cites_its_line(tmp_path):
+    """The line number relies on the C parser converting each row before it
+    pulls the next, which holds 55,000 rows into a 60,000-row file too."""
+    path = tmp_path / "long.csv"
+    stamps = (np.datetime64("2024-01-01T00:00:00", "s")
+              + np.arange(60_000) * np.timedelta64(60, "s"))
+    rows = [f"{s}Z,0.1,0.02,0.99,-0.01\n" for s in stamps.astype(str)]
+    rows[54_998] = rows[54_998].replace("0.02", "0.02x")
+    path.write_text("timestamp,p_0,q_0,v_0,a_0\n" + "".join(rows))
+    with pytest.raises(DatasetError, match=r"long\.csv:55000: non-numeric value$"):
+        read_csv(path)

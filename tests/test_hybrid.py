@@ -221,6 +221,17 @@ def test_solver_failure_propagates(net4, settings):
         run_series(model, net4, series, HybridConfig(), settings)
 
 
+def test_pure_solver_failure_reads_as_the_hybrid_one(net4, settings):
+    series = constant_series(net4, level=50.0, T=3)  # infeasible load
+    message = (rf"^solver did not converge \(max {settings.max_iterations} iterations\) "
+               rf"at {series.timestamps[0]} \(row 0\)$")
+    with pytest.raises(SimulationError, match=message):
+        run_pure_solver(net4, series, settings)
+    with pytest.raises(SimulationError, match=message):
+        run_series(perfect_surrogate(net4, settings), net4, series, HybridConfig(),
+                   settings)
+
+
 def test_run_series_deterministic(feeder30, small_dataset, settings):
     test_series = small_dataset.rows(0, 80).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)

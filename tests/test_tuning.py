@@ -3,6 +3,7 @@ import pytest
 
 from hybridflow import surrogate as sg
 from hybridflow.hybrid import HybridConfig, run_pure_solver, run_series
+from hybridflow.loadgen import LoadSeries
 from hybridflow.report import step_errors
 from hybridflow.tuning import (ERROR_GRID, ERROR_THRESHOLD, STEP_CHANGE,
                                SweepSpec, TuningError, config_for, recommend,
@@ -123,6 +124,16 @@ def test_calibration_slice_out_of_range(trained, feeder30, test_slice, settings)
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.1], calibration_days=(0, 99))
     with pytest.raises(TuningError, match="outside"):
         sweep(spec, trained, feeder30, test_slice.series(), settings)
+
+
+def test_step_that_does_not_divide_a_day_rejected(trained, feeder30, test_slice,
+                                                  settings):
+    loads = test_slice.series()
+    stamps = loads.timestamps[0] + np.arange(loads.n_steps) * np.timedelta64(7 * 60, "s")
+    series = LoadSeries(timestamps=stamps, P=loads.P, Q=loads.Q)
+    spec = SweepSpec(parameter=STEP_CHANGE, values=[0.1])
+    with pytest.raises(TuningError, match="step of 420 s does not divide one day"):
+        sweep(spec, trained, feeder30, series, settings)
 
 
 def test_write_sweep_csv(tmp_path, trained, feeder30, test_slice, settings):
