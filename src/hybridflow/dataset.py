@@ -4,17 +4,27 @@ Canonical interchange format: a single CSV with header
 ``timestamp,p_0..p_{np-1},q_0..q_{np-1},v_0..v_{nv-1},a_0..a_{nv-1}``,
 ISO-8601 UTC timestamps, per-unit values and radians printed with 17
 significant digits (lossless float round-trip).
+
+`write_csv` also writes an archive of the same arrays beside the CSV,
+bound to the CSV's bytes by their sha256; `read_csv` takes the arrays from
+it while that digest matches and parses the CSV otherwise.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .loadgen import LoadSeries
+
+
+ARCHIVE_FORMAT = "hybridflow-dataset"
+ARCHIVE_VERSION = 1
+ARCHIVE_ARRAYS = ("timestamps", "inputs", "outputs_v", "outputs_a")
 
 
 class DatasetError(ValueError):
@@ -131,27 +141,36 @@ def parse_timestamp(text: str) -> np.datetime64:
 
 
 def write_csv(dataset: Dataset, path) -> None:
+    """Write the CSV, then its archive at `path` + ".npz" (see module doc)."""
     n_p, n_v = dataset.n_loads, dataset.n_voltages
     header = (["timestamp"]
               + [f"p_{i}" for i in range(n_p)] + [f"q_{i}" for i in range(n_p)]
               + [f"v_{i}" for i in range(n_v)] + [f"a_{i}" for i in range(n_v)])
     # the csv module's excel dialect (\r\n line ends); no cell needs quoting
     row = "%sZ" + ",%.17g" * (len(header) - 1) + "\r\n"
-    stamps = np.datetime_as_string(dataset.timestamps, unit="s").tolist()
+    ts = dataset.timestamps.astype("datetime64[s]")
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        for stamp, x, v, a in zip(stamps, dataset.inputs, dataset.outputs_v,
-                                  dataset.outputs_a):
+        for stamp, x, v, a in zip(np.datetime_as_string(ts, unit="s").tolist(),
+                                  dataset.inputs, dataset.outputs_v, dataset.outputs_a):
             f.write(row % (stamp, *x.tolist(), *v.tolist(), *a.tolist()))
+    # a handle, since np.savez appends .npz to a name; float64, as the parse reads it
+    with open(_archive_path(path), "wb") as f:
+        np.savez(f, format=np.array(ARCHIVE_FORMAT), version=np.array(ARCHIVE_VERSION),
+                 csv_sha256=np.array(_sha256(path)), timestamps=ts.astype(np.int64),
+                 **{name: np.asarray(getattr(dataset, name), dtype=np.float64)
+                    for name in ARCHIVE_ARRAYS[1:]})
 
 
 def read_csv(path) -> Dataset:
-    """Read a dataset CSV in one pass; every error names the file line.
+    """Read a dataset CSV, from its archive while the archive's digest
+    matches the CSV; every error names the file line.
 
-    A generator checks each data row's cell count and timestamp as
-    `np.loadtxt` pulls it and hands on the rest of the line, whose numbers
-    the C parser converts. That parser converts each row before it pulls
-    the next, so a conversion error belongs to the generator's current line.
+    The parse is one pass: a generator checks each data row's cell count
+    and timestamp as `np.loadtxt` pulls it and hands on the rest of the
+    line, whose numbers the C parser converts. That parser converts each
+    row before it pulls the next, so a conversion error belongs to the
+    generator's current line.
     """
     with open(path, newline="") as f:
         try:
@@ -159,6 +178,9 @@ def read_csv(path) -> Dataset:
         except StopIteration:
             raise DatasetError(f"{path}: empty file") from None
         n_p, n_v = _parse_header(path, header)
+        archived = _read_archive(path)
+        if archived is not None:
+            return _checked(path, header, *archived)
         width = 1 + 2 * (n_p + n_v)
         stamps = []
         lineno = 1
@@ -188,25 +210,64 @@ def read_csv(path) -> Dataset:
             raise
         except ValueError:
             raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
-    if not stamps:
+    return _checked(path, header, np.array(stamps, dtype="datetime64[s]"),
+                    data[:, :2 * n_p], data[:, 2 * n_p:2 * n_p + n_v],
+                    data[:, 2 * n_p + n_v:])
+
+
+def _checked(path, header: list[str], ts, inputs, outputs_v, outputs_a) -> Dataset:
+    """The checks both sources pass; data row t is file line t + 2."""
+    if not len(ts):
         raise DatasetError(f"{path}: no data rows")
-    # data row t is file line t + 2
-    finite = np.isfinite(data)
-    if not finite.all():
-        t, k = np.argwhere(~finite)[0]  # the first bad row, then its first bad column
+    nat = np.isnat(ts)  # never parsed, but write_csv writes a not-a-time as 'NaTZ'
+    if nat.any():
+        t = int(nat.argmax())
+        raise DatasetError(f"{path}:{t + 2}: bad timestamp {format_timestamp(ts[t])!r}")
+    blocks = (inputs, outputs_v, outputs_a)
+    if not all(np.isfinite(block).all() for block in blocks):
+        # the first bad row, then its first bad column
+        t, k = np.argwhere(~np.isfinite(np.hstack(blocks)))[0]
         raise DatasetError(f"{path}:{t + 2}: non-finite value in column "
                            f"{header[1 + k]!r}")
-    ts = np.array(stamps, dtype="datetime64[s]")
     not_increasing = np.diff(ts.astype(np.int64)) <= 0
     if not_increasing.any():  # the later row of pair t is line t + 3
         raise DatasetError(f"{path}:{int(not_increasing.argmax()) + 3}: "
                            f"non-monotone timestamp")
-    return Dataset(
-        timestamps=ts,
-        inputs=data[:, :2 * n_p],
-        outputs_v=data[:, 2 * n_p:2 * n_p + n_v],
-        outputs_a=data[:, 2 * n_p + n_v:],
-    )
+    return Dataset(timestamps=ts, inputs=inputs, outputs_v=outputs_v, outputs_a=outputs_a)
+
+
+def _archive_path(path) -> str:
+    return str(path) + ".npz"
+
+
+def _sha256(path) -> str:
+    import hashlib  # here: loading OpenSSL adds ~5 ms to every CLI start
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _read_archive(path) -> tuple | None:
+    """The arrays of the archive beside `path`, or None unless that archive
+    is readable, of this format and version, and written with the bytes
+    the CSV has now. A miss only means the CSV is parsed."""
+    try:
+        with open(_archive_path(path), "rb") as f:
+            if f.read(4) != b"PK\x03\x04":  # the zip magic that opens every .npz
+                return None
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as archive:
+                if (archive["format"].tolist() != ARCHIVE_FORMAT
+                        or archive["version"].tolist() != ARCHIVE_VERSION
+                        or archive["csv_sha256"].tolist() != _sha256(path)):
+                    return None
+                ts, *values = (archive[name] for name in ARCHIVE_ARRAYS)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        return None
+    return (ts.astype("datetime64[s]"), *values)
 
 
 def _parse_header(path, header: list[str]) -> tuple[int, int]:

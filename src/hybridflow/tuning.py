@@ -44,8 +44,16 @@ class SweepSpec:
             raise TuningError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise TuningError("sweep values must be non-empty")
-        if self.parameter == ERROR_GRID and not self.values2:
-            raise TuningError("2-D sweep needs values2 (max_check_interval grid)")
+        if self.parameter != ERROR_GRID and self.values2 is not None:
+            raise TuningError(f"values2 applies only to {ERROR_GRID}, "
+                              f"not to the 1-D sweep of {self.parameter!r}")
+        if self.parameter == ERROR_GRID:
+            if not self.values2:
+                raise TuningError("2-D sweep needs values2 (max_check_interval grid)")
+            for value2 in self.values2:  # run as int(value2), recorded as given
+                if not (float(value2).is_integer() and value2 >= 1):
+                    raise TuningError(f"max_check_interval grid value {value2!r} "
+                                      f"is not a whole number >= 1")
 
 
 @dataclass
@@ -98,7 +106,7 @@ def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
 
     points = []
     for value in spec.values:
-        for value2 in (spec.values2 if spec.parameter == ERROR_GRID else [None]):
+        for value2 in spec.values2 or [None]:
             config = config_for(spec, value, value2)
             _, records, _ = run_series(surrogate, network, series, config, settings,
                                        ground_truth=truth)

@@ -339,6 +339,13 @@ def test_tune_empty_grid_is_usage_error(workdir):
                  "--values", ""]) == 1
 
 
+def test_tune_rejects_second_grid_on_a_1d_sweep(workdir, capsys):
+    config = workdir / "run.yaml"
+    assert main(["--config", str(config), "tune", "--parameter", "step_change",
+                 "--values", "0.1", "--values2", "3"]) == 1
+    assert "1-D sweep of 'step_change'" in capsys.readouterr().err
+
+
 def test_report_from_records(workdir, capsys):
     config = workdir / "run.yaml"
     records = workdir / "out" / "records.csv"

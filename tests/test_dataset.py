@@ -1,3 +1,6 @@
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -16,6 +19,23 @@ def make_data(T=96, n_p=2, n_v=3, seed=0, step_minutes=15):
                    inputs=rng.standard_normal((T, 2 * n_p)),
                    outputs_v=1.0 + 0.01 * rng.standard_normal((T, n_v)),
                    outputs_a=0.01 * rng.standard_normal((T, n_v)))
+
+
+def archive_of(path) -> Path:
+    return Path(str(path) + ".npz")
+
+
+def written(data, path):
+    write_csv(data, path)
+    return path
+
+
+def read_both_ways(path):
+    """`read_csv` of a written file from its archive, then parsed once the
+    archive is deleted."""
+    from_archive = read_csv(path)
+    archive_of(path).unlink()
+    return from_archive, read_csv(path)
 
 
 def test_split_default_structure():
@@ -52,21 +72,19 @@ def test_split_too_short():
 
 def test_round_trip_identity(tmp_path):
     data = make_data(T=50, seed=3)
-    path = tmp_path / "d.csv"
-    write_csv(data, path)
-    loaded = read_csv(path)
-    assert np.array_equal(loaded.timestamps, data.timestamps)
-    assert np.array_equal(loaded.inputs, data.inputs)
-    assert np.array_equal(loaded.outputs_v, data.outputs_v)
-    assert np.array_equal(loaded.outputs_a, data.outputs_a)
+    for loaded in read_both_ways(written(data, tmp_path / "d.csv")):
+        assert np.array_equal(loaded.timestamps, data.timestamps)
+        assert np.array_equal(loaded.inputs, data.inputs)
+        assert np.array_equal(loaded.outputs_v, data.outputs_v)
+        assert np.array_equal(loaded.outputs_a, data.outputs_a)
 
 
 def test_round_trip_write_read_write_identical_bytes(tmp_path):
     data = make_data(T=30, seed=4)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(data, p1)
-    write_csv(read_csv(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    for loaded in read_both_ways(written(data, p1)):
+        write_csv(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_minimal_two_row_file(tmp_path):
@@ -135,12 +153,10 @@ def test_bad_header_rejected(tmp_path):
 
 
 def test_generated_dataset_round_trip(tmp_path, small_dataset):
-    path = tmp_path / "gen.csv"
-    write_csv(small_dataset, path)
-    loaded = read_csv(path)
-    assert np.array_equal(loaded.inputs, small_dataset.inputs)
-    assert np.array_equal(loaded.outputs_v, small_dataset.outputs_v)
-    assert np.array_equal(loaded.outputs_a, small_dataset.outputs_a)
+    for loaded in read_both_ways(written(small_dataset, tmp_path / "gen.csv")):
+        assert np.array_equal(loaded.inputs, small_dataset.inputs)
+        assert np.array_equal(loaded.outputs_v, small_dataset.outputs_v)
+        assert np.array_equal(loaded.outputs_a, small_dataset.outputs_a)
 
 
 @hyp_settings(max_examples=20, deadline=None)
@@ -149,12 +165,11 @@ def test_generated_dataset_round_trip(tmp_path, small_dataset):
 def test_round_trip_property(tmp_path_factory, T, n_p, n_v, seed):
     data = make_data(T=T, n_p=n_p, n_v=n_v, seed=seed)
     path = tmp_path_factory.mktemp("rt") / "d.csv"
-    write_csv(data, path)
-    loaded = read_csv(path)
-    assert np.array_equal(loaded.inputs, data.inputs)
-    assert np.array_equal(loaded.outputs_v, data.outputs_v)
-    assert np.array_equal(loaded.outputs_a, data.outputs_a)
-    assert np.array_equal(loaded.timestamps, data.timestamps)
+    for loaded in read_both_ways(written(data, path)):
+        assert np.array_equal(loaded.inputs, data.inputs)
+        assert np.array_equal(loaded.outputs_v, data.outputs_v)
+        assert np.array_equal(loaded.outputs_a, data.outputs_a)
+        assert np.array_equal(loaded.timestamps, data.timestamps)
 
 
 ROWS = ["2024-01-01T00:%02d:00Z,0.1,0.02,0.99,-0.01" % (5 * t) for t in range(4)]
@@ -224,3 +239,137 @@ def test_non_numeric_cell_deep_in_a_long_file_cites_its_line(tmp_path):
     path.write_text("timestamp,p_0,q_0,v_0,a_0\n" + "".join(rows))
     with pytest.raises(DatasetError, match=r"long\.csv:55000: non-numeric value$"):
         read_csv(path)
+
+
+def dataset_bytes(path):
+    """What `read_csv` makes of a file: its arrays' bytes, or its error."""
+    try:
+        data = read_csv(path)
+    except DatasetError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in
+            (data.timestamps, data.inputs, data.outputs_v, data.outputs_a)]
+
+
+def _set(data, array, index, value):
+    getattr(data, array)[index] = value
+    return data
+
+
+def _nat(data):
+    data.timestamps[:] = np.datetime64("NaT")
+    return data
+
+
+@pytest.mark.parametrize("edit, outcome", [
+    (lambda d: d, None),
+    (lambda d: _set(d, "outputs_v", (3, 1), np.nan),
+     "d.csv:5: non-finite value in column 'v_1'"),
+    (lambda d: _set(_set(_set(d, "outputs_a", (2, 0), np.nan), "inputs", (2, 3), -np.inf),
+                    "outputs_v", (4, 0), np.inf),
+     "d.csv:4: non-finite value in column 'q_1'"),
+    (lambda d: _set(d, "inputs", (slice(None), 0), -0.0), None),
+    (lambda d: _set(_set(d, "outputs_a", (0, 0), 5e-324), "inputs", (1, 2), -2.2e-310), None),
+    (lambda d: d.rows(0, 1), None),
+    (lambda d: d.rows(0, 0), "d.csv: no data rows"),
+    (lambda d: _nat(d.rows(0, 1)), "d.csv:2: bad timestamp 'NaTZ'"),
+    (lambda d: _set(d, "timestamps", 3, d.timestamps[2]), "d.csv:5: non-monotone timestamp"),
+    (lambda d: _set(d, "timestamps", 3, d.timestamps[3] + np.timedelta64(1, "s")),
+     "timestamps not uniformly spaced"),
+    (lambda d: Dataset(d.timestamps.astype("datetime64[ms]"), d.inputs.astype(np.float32),
+                       d.outputs_v, d.outputs_a), None),
+], ids=["plain", "nan", "first_bad_column_of_first_bad_row", "negative_zero", "subnormal",
+        "one_row", "no_rows", "not_a_time", "repeated_stamp", "uneven_steps", "float32_ms"])
+def test_archive_and_parse_agree_on_written_files(tmp_path, edit, outcome):
+    """Every file `write_csv` writes reads the same with or without its
+    archive: equal arrays to the byte, or the same error."""
+    path = tmp_path / "d.csv"
+    write_csv(edit(make_data(T=6, n_p=2, n_v=3, seed=7)), path)
+    assert archive_of(path).exists()
+    with_archive = dataset_bytes(path)
+    archive_of(path).unlink()
+    assert with_archive == dataset_bytes(path)
+    if outcome is None:
+        assert not isinstance(with_archive, str)
+    else:
+        assert with_archive.endswith(outcome)
+
+
+def test_written_file_is_read_from_its_archive(tmp_path, monkeypatch):
+    path = written(make_data(T=8), tmp_path / "d.csv")
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed the CSV")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    assert read_csv(path).n_steps == 8
+    archive_of(path).unlink()
+    with pytest.raises(AssertionError, match="parsed the CSV"):
+        read_csv(path)
+
+
+def test_archive_is_byte_identical_on_rewrite(tmp_path):
+    data = make_data(T=20, seed=5)
+    first = archive_of(written(data, tmp_path / "a.csv")).read_bytes()
+    assert archive_of(written(data, tmp_path / "a.csv")).read_bytes() == first
+    assert archive_of(written(data, tmp_path / "b.csv")).read_bytes() == first
+
+
+def stale_file(tmp_path):
+    """A written file with a unique cell, 0.125 at data row 1 (line 3)."""
+    data = make_data(T=6)
+    data.inputs[1, 0] = 0.125
+    return data, written(data, tmp_path / "d.csv")
+
+
+def test_edited_cell_of_the_same_length_is_read(tmp_path):
+    data, path = stale_file(tmp_path)
+    path.write_text(path.read_text().replace(",0.125,", ",0.375,"))
+    assert archive_of(path).exists()
+    loaded = read_csv(path)
+    assert loaded.inputs[1, 0] == 0.375
+    data.inputs[1, 0] = 0.375
+    assert np.array_equal(loaded.inputs, data.inputs)
+
+
+def test_edited_bad_cell_cites_its_line(tmp_path):
+    _, path = stale_file(tmp_path)
+    path.write_text(path.read_text().replace(",0.125,", ",0.12x,"))
+    with pytest.raises(DatasetError, match=r"d\.csv:3: non-numeric value$"):
+        read_csv(path)
+
+
+def test_archive_of_another_file_is_not_used(tmp_path):
+    other = written(make_data(T=6, seed=1), tmp_path / "other.csv")
+    data = make_data(T=6, seed=2)
+    path = written(data, tmp_path / "d.csv")
+    shutil.copyfile(archive_of(other), archive_of(path))
+    assert np.array_equal(read_csv(path).inputs, data.inputs)
+
+
+def _rewrite_archive(path, **changes):
+    """Rewrite the archive beside `path` with entries changed (None drops
+    one), and its inputs shifted so that a use of it would show."""
+    with np.load(archive_of(path)) as archive:
+        entries = {name: archive[name] for name in archive.files}
+    entries["inputs"] = entries["inputs"] + 1.0
+    entries.update(changes)
+    with open(archive_of(path), "wb") as f:
+        np.savez(f, **{k: v for k, v in entries.items() if v is not None})
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path: archive_of(path).write_bytes(b""),
+    lambda path: archive_of(path).write_bytes(b"timestamp,p_0\n"),
+    lambda path: archive_of(path).write_bytes(archive_of(path).read_bytes()[:100]),
+    lambda path: _rewrite_archive(path, csv_sha256=None),
+    lambda path: _rewrite_archive(path, version=np.array(2)),
+    lambda path: _rewrite_archive(path, format=np.array("hybridflow-surrogate")),
+], ids=["empty", "not_a_zip", "truncated", "no_digest", "version_2", "other_format"])
+def test_damaged_archive_falls_back_to_the_parse(tmp_path, damage):
+    data = make_data(T=6)
+    path = written(data, tmp_path / "d.csv")
+    damage(path)
+    loaded = read_csv(path)
+    assert np.array_equal(loaded.inputs, data.inputs)
+    assert np.array_equal(loaded.timestamps, data.timestamps)

@@ -37,6 +37,17 @@ def test_2d_sweep_needs_second_grid():
         SweepSpec(parameter=ERROR_GRID, values=[0.01])
 
 
+def test_1d_sweep_rejects_second_grid():
+    with pytest.raises(TuningError, match="1-D sweep of 'step_change'"):
+        SweepSpec(parameter=STEP_CHANGE, values=[0.1], values2=[3.0])
+
+
+@pytest.mark.parametrize("value2", [2.7, 0.0, -4.0, float("nan"), float("inf")])
+def test_2d_grid_rejects_an_interval_that_is_not_a_whole_number(value2):
+    with pytest.raises(TuningError, match=rf"grid value {value2!r} is not a whole"):
+        SweepSpec(parameter=ERROR_GRID, values=[0.01], values2=[4.0, value2])
+
+
 def test_single_point_equals_direct_run(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.05])
     results = sweep(spec, trained, feeder30, test_slice.series(), settings)
