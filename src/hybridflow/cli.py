@@ -43,6 +43,8 @@ def cmd_train(config: RunConfig) -> None:
 
 
 def _test_set(config: RunConfig) -> ds.Dataset:
+    if config.split.test_days == 0:  # `split` allows it, for a train-only run
+        raise ds.DatasetError("split.test_days is 0: simulate and tune need a test set")
     data = ds.read_csv(config.resolve(config.dataset_path))
     return ds.split(data, config.split)[1]
 

@@ -2,8 +2,9 @@
 
 Canonical interchange format: a single CSV with header
 ``timestamp,p_0..p_{np-1},q_0..q_{np-1},v_0..v_{nv-1},a_0..a_{nv-1}``,
-ISO-8601 UTC timestamps, per-unit values and radians printed with 17
-significant digits (lossless float round-trip).
+ISO-8601 UTC timestamps, per-unit values and radians printed as
+`'%+.16e' % x` (17 significant digits, a lossless float round-trip),
+which `write_csv` builds in numpy a block of rows at a time.
 
 `write_csv` also writes an archive of the same arrays beside the CSV,
 bound to the CSV's bytes by their sha256; `read_csv` takes the arrays from
@@ -25,6 +26,8 @@ from .loadgen import LoadSeries
 ARCHIVE_FORMAT = "hybridflow-dataset"
 ARCHIVE_VERSION = 1
 ARCHIVE_ARRAYS = ("timestamps", "inputs", "outputs_v", "outputs_a")
+# cells `write_csv` formats at once: bounds its temporaries whatever the row width
+BLOCK_CELLS = 1 << 11
 
 
 class DatasetError(ValueError):
@@ -141,25 +144,132 @@ def parse_timestamp(text: str) -> np.datetime64:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write the CSV, then its archive at `path` + ".npz" (see module doc)."""
+    """Write the CSV, then its archive at `path` + ".npz" (see module doc).
+
+    Each value cell is the text of `'%+.16e' % x`. The cells of a block of
+    rows are formatted in numpy (`_CellFormatter`); a row holding a value
+    outside its range or a stamp other than 19 characters is formatted by
+    Python, to the same spec. The digest is taken of the bytes as written.
+    """
+    import hashlib  # here: loading OpenSSL adds ~5 ms to every CLI start
+
     n_p, n_v = dataset.n_loads, dataset.n_voltages
     header = (["timestamp"]
               + [f"p_{i}" for i in range(n_p)] + [f"q_{i}" for i in range(n_p)]
               + [f"v_{i}" for i in range(n_v)] + [f"a_{i}" for i in range(n_v)])
     # the csv module's excel dialect (\r\n line ends); no cell needs quoting
-    row = "%sZ" + ",%.17g" * (len(header) - 1) + "\r\n"
+    row = "%sZ" + ",%+.16e" * (len(header) - 1) + "\r\n"
     ts = dataset.timestamps.astype("datetime64[s]")
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for stamp, x, v, a in zip(np.datetime_as_string(ts, unit="s").tolist(),
-                                  dataset.inputs, dataset.outputs_v, dataset.outputs_a):
-            f.write(row % (stamp, *x.tolist(), *v.tolist(), *a.tolist()))
+    stamps = np.datetime_as_string(ts, unit="s")
+    blocks = (dataset.inputs, dataset.outputs_v, dataset.outputs_a)
+    block_rows = max(1, BLOCK_CELLS // (len(header) - 1))
+    cells = _CellFormatter()
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        def emit(chunk) -> None:
+            digest.update(chunk)
+            f.write(chunk)
+
+        emit((",".join(header) + "\r\n").encode())
+        for lo in range(0, len(stamps), block_rows):
+            x = np.concatenate([b[lo:lo + block_rows] for b in blocks], axis=1,
+                               dtype=np.float64)
+            lines, fast = cells.lines(stamps[lo:lo + block_rows], x)
+            start = 0
+            for t in np.flatnonzero(~fast).tolist():
+                emit(lines[start:t])
+                emit((row % (stamps[lo + t], *x[t].tolist())).encode())
+                start = t + 1
+            emit(lines[start:])
     # a handle, since np.savez appends .npz to a name; float64, as the parse reads it
     with open(_archive_path(path), "wb") as f:
         np.savez(f, format=np.array(ARCHIVE_FORMAT), version=np.array(ARCHIVE_VERSION),
-                 csv_sha256=np.array(_sha256(path)), timestamps=ts.astype(np.int64),
+                 csv_sha256=np.array(digest.hexdigest()), timestamps=ts.astype(np.int64),
                  **{name: np.asarray(getattr(dataset, name), dtype=np.float64)
                     for name in ARCHIVE_ARRAYS[1:]})
+
+
+class _CellFormatter:
+    """Formats float64 cells as `'%+.16e' % x` in numpy, for x = +-0 or
+    1e-6 < |x| < 1e16 (the double 1e-6 is below 10**-6).
+
+    With e = floor(log10|x|), the 17 digits are D = round(|x| * 10**(16 - e)),
+    ties to even. 10**s is an exact double for 0 <= s <= 22, so Dekker's
+    two-product gives |x| * 10**s exactly as hi + lo; then D = hi + rint(lo),
+    since hi >= 1e16 > 2**53 is an even integer. e comes from log10 and is
+    corrected by one where hi + lo falls outside [1e16, 1e17). D never
+    rounds up to 1e17 here: that needs a double within 5e-18 (relative)
+    below a power of ten, and none of 1e-5 .. 1e16 has one.
+
+    A cell is six 4-byte words taken from tables: ",+d." for the sign and
+    leading digit, four groups of four digits, and "e+XX" for the exponent.
+    """
+
+    SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
+
+    def __init__(self):
+        digits = np.arange(10000)
+        groups = np.stack([digits // 1000, digits // 100 % 10, digits // 10 % 10,
+                           digits % 10], axis=1) + ord("0")
+        self.groups = groups.astype(np.uint8).view(np.uint32).ravel()
+        self.leads = _words([f",{sign}{d}." for sign in "+-" for d in range(10)])
+        self.exponents = _words([f"e{e:+03d}" for e in range(-6, 16)])  # index e + 6
+        self.pow10 = np.array([float(10 ** s) for s in range(23)])
+        self.pow10_hi, self.pow10_lo = self._split(self.pow10)
+
+    def _split(self, a):
+        c = self.SPLIT * a
+        hi = c - (c - a)
+        return hi, a - hi
+
+    def _scaled(self, a, e):
+        """|x| * 10**(16 - e) exactly, as the pair (hi, lo)."""
+        s = 16 - e
+        b = self.pow10[s]
+        hi = a * b
+        a_hi, a_lo = self._split(a)
+        b_hi, b_lo = self.pow10_hi[s], self.pow10_lo[s]
+        lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        return hi, lo
+
+    def lines(self, stamps, x) -> tuple[np.ndarray, np.ndarray]:
+        """The block's lines as a [rows, bytes] uint8 array, and which rows
+        in it are right: those whose cells are all in range and whose stamp
+        has 19 characters."""
+        n, k = x.shape
+        a = np.abs(x)
+        zero = a == 0
+        fast = ((a > 1e-6) & (a < 1e16)) | zero  # a NaN compares false
+        a[~fast | zero] = 1.0  # any value in range: these cells are overwritten or unused
+        e = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.intp)
+        hi, lo = self._scaled(a, e)
+        shift = (((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
+                 - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))))
+        moved = np.flatnonzero(shift)
+        if len(moved):
+            e.flat[moved] += shift.flat[moved]
+            hi.flat[moved], lo.flat[moved] = self._scaled(a.flat[moved], e.flat[moved])
+        d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        d[zero] = 0
+        e[zero] = 0
+        lead, rest = np.divmod(d, 10 ** 16)
+        high8, low8 = np.divmod(rest, 10 ** 8)
+        words = np.empty((n, k, 6), np.uint32)
+        words[..., 0] = self.leads[lead + 10 * np.signbit(x)]
+        words[..., 1], words[..., 2] = (self.groups[g] for g in np.divmod(high8, 10 ** 4))
+        words[..., 3], words[..., 4] = (self.groups[g] for g in np.divmod(low8, 10 ** 4))
+        words[..., 5] = self.exponents[e + 6]
+        out = np.empty((n, 20 + 24 * k + 2), np.uint8)
+        out[:, :19] = stamps.astype("S19").view(np.uint8).reshape(n, 19)
+        out[:, 19] = ord("Z")
+        out[:, 20:-2] = words.view(np.uint8).reshape(n, 24 * k)
+        out[:, -2:] = (ord("\r"), ord("\n"))
+        return out, fast.all(axis=1) & (np.char.str_len(stamps) == 19)
+
+
+def _words(texts: list[str]) -> np.ndarray:
+    """Four-character ASCII texts as uint32 words, in native byte order."""
+    return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
 
 
 def read_csv(path) -> Dataset:

@@ -106,6 +106,21 @@ def scaled_spec(spec: LoadProfileSpec, factor: float) -> LoadProfileSpec:
     return replace(spec, modes=modes)
 
 
+def write_csv_rowwise(dataset: Dataset, path) -> None:
+    """Reference dataset writer: one Python '%' format per row, every value
+    cell '%+.16e'."""
+    n_p, n_v = dataset.n_loads, dataset.n_voltages
+    header = ["timestamp"] + [f"{name}_{i}" for name, n in (("p", n_p), ("q", n_p),
+                                                            ("v", n_v), ("a", n_v))
+                              for i in range(n)]
+    row = "%sZ" + ",%+.16e" * (len(header) - 1) + "\r\n"
+    stamps = np.datetime_as_string(dataset.timestamps.astype("datetime64[s]"), unit="s")
+    values = np.hstack([dataset.inputs, dataset.outputs_v, dataset.outputs_a])
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        f.writelines(row % (stamp, *x) for stamp, x in zip(stamps.tolist(), values.tolist()))
+
+
 def read_csv_rowwise(path) -> Dataset:
     """Reference dataset reader: the csv module splits each row and numpy
     converts it, one row at a time; its errors name the file line."""

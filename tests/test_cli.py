@@ -324,6 +324,30 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pure-solver"],
+    ["simulate"],
+    ["tune", "--parameter", "step_change", "--values", "0.2"],
+], ids=["pure_solver", "simulate", "tune"])
+def test_empty_test_split_is_one_line_error(workdir, tmp_path, capsys, argv):
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG_TEMPLATE.format(out=workdir / "out").replace(
+        "test_days: 2", "test_days: 0"))
+    assert main(["--config", str(config), "--out", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: split.test_days is 0: simulate and tune need a test set"]
+
+
+def test_train_accepts_an_empty_test_split(workdir, tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text(CONFIG_TEMPLATE.format(out=workdir / "out")
+                      .replace("test_days: 2", "test_days: 0")
+                      .replace(f"model_file: {workdir / 'out'}", f"model_file: {tmp_path}"))
+    with pytest.warns(UserWarning, match="empty test set"):
+        assert main(["--config", str(config), "train"]) == 0
+    assert sg.load(tmp_path / "surrogate.json").n_c == 3
+
+
 def test_tune_single_point(workdir):
     config = workdir / "run.yaml"
     assert main(["--config", str(config), "tune", "--parameter", "step_change",

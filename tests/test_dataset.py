@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from hybridflow.dataset import (Dataset, DatasetError, SplitSpec, read_csv,
-                                split, write_csv)
-from tests.oracles import read_csv_rowwise
+from hybridflow.dataset import (BLOCK_CELLS, Dataset, DatasetError, SplitSpec,
+                                read_csv, split, write_csv)
+from tests.oracles import read_csv_rowwise, write_csv_rowwise
 
 
 def make_data(T=96, n_p=2, n_v=3, seed=0, step_minutes=15):
@@ -324,7 +324,8 @@ def stale_file(tmp_path):
 
 def test_edited_cell_of_the_same_length_is_read(tmp_path):
     data, path = stale_file(tmp_path)
-    path.write_text(path.read_text().replace(",0.125,", ",0.375,"))
+    path.write_text(path.read_text().replace(",+1.2500000000000000e-01,",
+                                            ",+3.7500000000000000e-01,"))
     assert archive_of(path).exists()
     loaded = read_csv(path)
     assert loaded.inputs[1, 0] == 0.375
@@ -334,7 +335,8 @@ def test_edited_cell_of_the_same_length_is_read(tmp_path):
 
 def test_edited_bad_cell_cites_its_line(tmp_path):
     _, path = stale_file(tmp_path)
-    path.write_text(path.read_text().replace(",0.125,", ",0.12x,"))
+    path.write_text(path.read_text().replace(",+1.2500000000000000e-01,",
+                                            ",+1.2x00000000000000e-01,"))
     with pytest.raises(DatasetError, match=r"d\.csv:3: non-numeric value$"):
         read_csv(path)
 
@@ -373,3 +375,113 @@ def test_damaged_archive_falls_back_to_the_parse(tmp_path, damage):
     loaded = read_csv(path)
     assert np.array_equal(loaded.inputs, data.inputs)
     assert np.array_equal(loaded.timestamps, data.timestamps)
+
+
+# ---- the writer against the row-at-a-time reference writer ----------------
+
+def dataset_of(values, n_p=1) -> Dataset:
+    """A dataset whose rows are `values` ([T, 2*n_p + 2*n_v]), 5 min apart."""
+    values = np.asarray(values)
+    n_v = (values.shape[1] - 2 * n_p) // 2
+    ts = (np.datetime64("2024-01-01T00:00:00", "s")
+          + np.arange(len(values)) * np.timedelta64(300, "s"))
+    return Dataset(timestamps=ts, inputs=values[:, :2 * n_p],
+                   outputs_v=values[:, 2 * n_p:2 * n_p + n_v],
+                   outputs_a=values[:, 2 * n_p + n_v:])
+
+
+def assert_writes_like_oracle(data, tmp_path):
+    write_csv(data, tmp_path / "fast.csv")
+    write_csv_rowwise(data, tmp_path / "oracle.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def block_rows(width: int) -> int:
+    return max(1, BLOCK_CELLS // width)
+
+
+# any pattern, and patterns whose exponent field is near the formatter's
+# range (1e-6 is 2**-19.9, 1e16 is 2**53.2)
+BITS = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.tuples(st.integers(0, 1), st.integers(1023 - 21, 1023 + 54), st.integers(0, 2 ** 52 - 1))
+    .map(lambda f: f[0] << 63 | f[1] << 52 | f[2]))
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 5), bits=st.lists(BITS, min_size=20, max_size=20))
+def test_writer_matches_oracle_on_any_bits(tmp_path_factory, rows, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(5, 4)[:rows]
+    assert_writes_like_oracle(dataset_of(values), tmp_path_factory.mktemp("bits"))
+
+
+def _near(x: float, steps: int = 2) -> list[float]:
+    """x and its `steps` neighbours on each side."""
+    out = [x]
+    down = up = x
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [float(down), float(up)]
+    return out
+
+
+EDGE_VALUES = (
+    [0.0, -0.0, 0.1, 0.125, 1.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     np.inf, np.nan, 1234567890123456.25, 1234567890123456.75]
+    + _near(1e-6) + _near(1e16)
+    + [y for k in range(-6, 16) for y in _near(float(f"1e{k}"), 1)]
+    # these doubles lie just below their power of ten and print as it
+    + [float(f"1e{k}") for k in (-14, -70, 98)])
+
+
+def test_writer_matches_oracle_on_edge_values(tmp_path):
+    rows = []
+    for x in EDGE_VALUES:  # each value among ordinary cells, and negated
+        rows.append([x, 0.5, 1.0, -0.25])
+        rows.append([0.5, -x, 1.0, x])
+    assert_writes_like_oracle(dataset_of(rows), tmp_path)
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)],
+                         ids=["0", "1", "block-1", "block", "block+1"])
+def test_writer_matches_oracle_at_block_edges(tmp_path, blocks, extra):
+    """A non-finite row sits on each side of the first block's end."""
+    block = block_rows(4)
+    values = np.random.default_rng(blocks).standard_normal((blocks * block + extra, 4))
+    values[block - 1:block + 1, 2] = np.nan
+    assert_writes_like_oracle(dataset_of(values), tmp_path)
+
+
+def test_writer_matches_oracle_on_798_wide_rows(tmp_path):
+    data = make_data(T=2 * block_rows(798) + 3, n_p=199, n_v=200, seed=11)
+    data.outputs_a[5, 17] = np.inf
+    assert_writes_like_oracle(data, tmp_path)
+
+
+def test_writer_matches_oracle_on_float32_and_ms_stamps(tmp_path):
+    data = make_data(T=40, seed=12)
+    data = Dataset(data.timestamps.astype("datetime64[ms]") + np.timedelta64(250, "ms"),
+                   data.inputs.astype(np.float32), data.outputs_v.astype(np.float32),
+                   data.outputs_a)
+    assert_writes_like_oracle(data, tmp_path)
+
+
+def test_values_read_back_bit_for_bit_by_loadtxt(tmp_path):
+    """Read as the benchmark reads the CSV: every value has the same bits."""
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((60, 10)) * 10.0 ** rng.integers(-9, 18, (60, 10))
+    finite = [x for x in EDGE_VALUES if np.isfinite(x)]
+    values.flat[:len(finite)] = finite
+    path = written(dataset_of(values, n_p=2), tmp_path / "d.csv")
+    parsed = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(1, 11), ndmin=2)
+    assert np.array_equal(parsed.view(np.uint64), values.view(np.uint64))
+
+
+def test_writer_matches_oracle_on_stamps_of_other_lengths(tmp_path):
+    values = np.random.default_rng(14).standard_normal((3, 4))
+    stamps = np.array(["9999-12-31T23:55:00", "10000-01-01T00:00:00", "10000-01-01T00:05:00"],
+                      dtype="datetime64[s]")
+    for ts in (stamps, np.array(["NaT"], dtype="datetime64[s]")):
+        data = dataset_of(values[:len(ts)])
+        assert_writes_like_oracle(Dataset(ts, data.inputs, data.outputs_v, data.outputs_a),
+                                  tmp_path)
