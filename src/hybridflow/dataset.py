@@ -1,26 +1,27 @@
 """Dataset persistence and chronological splitting.
 
-Canonical interchange format: a single CSV with header
+`write_csv` writes a dataset as a CSV with header
 ``timestamp,p_0..p_{np-1},q_0..q_{np-1},v_0..v_{nv-1},a_0..a_{nv-1}``,
 ISO-8601 UTC timestamps, per-unit values and radians printed as
 `'%+.16e' % x` (17 significant digits, a lossless float round-trip),
-which `write_csv` builds in numpy a block of rows at a time.
+which it builds in numpy a block of rows at a time; then, beside the
+CSV, an archive of the same arrays bound to the CSV's bytes by their
+sha256.
 
-`write_csv` also writes an archive of the same arrays beside the CSV,
-bound to the CSV's bytes by their sha256; `read_csv` takes the arrays from
-it while that digest matches and parses the CSV otherwise.
+`read_csv` reads the archive only: the CSV is a write-only export, and
+reading checks only that its digest still matches. An edited CSV, or an
+absent or damaged archive, is an error naming the file, with no fallback.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .loadgen import LoadSeries
+from .loadgen import LoadSeries, steps_per_day
 
 
 ARCHIVE_FORMAT = "hybridflow-dataset"
@@ -69,18 +70,8 @@ class Dataset:
                 raise DatasetError("timestamps not uniformly spaced")
 
     @property
-    def step_seconds(self) -> int:
-        if self.n_steps < 2:
-            raise DatasetError("cannot infer resolution from fewer than 2 rows")
-        t = self.timestamps.astype("datetime64[s]").astype(np.int64)
-        return int(t[1] - t[0])
-
-    @property
     def steps_per_day(self) -> int:
-        step = self.step_seconds
-        if 86400 % step != 0:
-            raise DatasetError(f"step of {step} s does not divide one day")
-        return 86400 // step
+        return steps_per_day(self.timestamps, DatasetError)
 
     def rows(self, lo: int, hi: int) -> "Dataset":
         return Dataset(self.timestamps[lo:hi], self.inputs[lo:hi],
@@ -153,10 +144,7 @@ def write_csv(dataset: Dataset, path) -> None:
     """
     import hashlib  # here: loading OpenSSL adds ~5 ms to every CLI start
 
-    n_p, n_v = dataset.n_loads, dataset.n_voltages
-    header = (["timestamp"]
-              + [f"p_{i}" for i in range(n_p)] + [f"q_{i}" for i in range(n_p)]
-              + [f"v_{i}" for i in range(n_v)] + [f"a_{i}" for i in range(n_v)])
+    header = _header(dataset.n_loads, dataset.n_voltages)
     # the csv module's excel dialect (\r\n line ends); no cell needs quoting
     row = "%sZ" + ",%+.16e" * (len(header) - 1) + "\r\n"
     ts = dataset.timestamps.astype("datetime64[s]")
@@ -181,7 +169,7 @@ def write_csv(dataset: Dataset, path) -> None:
                 emit((row % (stamps[lo + t], *x[t].tolist())).encode())
                 start = t + 1
             emit(lines[start:])
-    # a handle, since np.savez appends .npz to a name; float64, as the parse reads it
+    # a handle, since np.savez appends .npz to a name; float64, as `read_csv` requires
     with open(_archive_path(path), "wb") as f:
         np.savez(f, format=np.array(ARCHIVE_FORMAT), version=np.array(ARCHIVE_VERSION),
                  csv_sha256=np.array(digest.hexdigest()), timestamps=ts.astype(np.int64),
@@ -273,63 +261,58 @@ def _words(texts: list[str]) -> np.ndarray:
 
 
 def read_csv(path) -> Dataset:
-    """Read a dataset CSV, from its archive while the archive's digest
-    matches the CSV; every error names the file line.
+    """The dataset `write_csv` wrote at `path`, read from its archive.
 
-    The parse is one pass: a generator checks each data row's cell count
-    and timestamp as `np.loadtxt` pulls it and hands on the rest of the
-    line, whose numbers the C parser converts. That parser converts each
-    row before it pulls the next, so a conversion error belongs to the
-    generator's current line.
+    The archive must be of this format and version and hold the sha256 of
+    the CSV as it is on disk now. Every failure is one DatasetError naming
+    the file; an error in the values names its CSV line.
     """
-    with open(path, newline="") as f:
-        try:
-            header = next(csv.reader(f))
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        n_p, n_v = _parse_header(path, header)
-        archived = _read_archive(path)
-        if archived is not None:
-            return _checked(path, header, *archived)
-        width = 1 + 2 * (n_p + n_v)
-        stamps = []
-        lineno = 1
-
-        def values():
-            nonlocal lineno
-            for lineno, line in enumerate(f, start=2):
-                cells = line.count(",") + 1 if line.strip("\r\n") else 0
-                if cells != width:
-                    raise DatasetError(f"{path}:{lineno}: expected {width} columns, "
-                                       f"got {cells}")
-                stamp, _, rest = line.partition(",")
-                if len(stamp) > 1 and stamp[0] == stamp[-1] == '"':
-                    stamp = stamp[1:-1]
-                try:
-                    stamps.append(parse_timestamp(stamp))
-                except ValueError:
-                    raise DatasetError(f"{path}:{lineno}: bad timestamp {stamp!r}") from None
-                yield rest
-
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a header-only file is "no data"
-                data = np.loadtxt(values(), delimiter=",", quotechar='"',
-                                  comments=None, ndmin=2)
-        except DatasetError:
-            raise
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
-    return _checked(path, header, np.array(stamps, dtype="datetime64[s]"),
-                    data[:, :2 * n_p], data[:, 2 * n_p:2 * n_p + n_v],
-                    data[:, 2 * n_p + n_v:])
+    return _checked(path, *_read_archive(path))
 
 
-def _checked(path, header: list[str], ts, inputs, outputs_v, outputs_a) -> Dataset:
-    """The checks both sources pass; data row t is file line t + 2."""
+def _read_archive(path) -> tuple:
+    """The timestamps and value arrays of the archive beside `path`."""
+    archive = _archive_path(path)
+    rerun = "; rerun generate"
+    try:
+        with open(archive, "rb") as f:
+            if f.read(4) != b"PK\x03\x04":  # the zip magic that opens every .npz
+                raise zipfile.BadZipFile("File is not a zip file")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as npz:
+                entries = dict(npz)
+        digest = _sha256(path)
+    except FileNotFoundError as exc:
+        raise DatasetError(f"{exc.filename}: no such file{rerun}") from None
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DatasetError(f"{archive}: unreadable archive "
+                           f"({' '.join(str(exc).split())}){rerun}") from None
+    for name in ("format", "version", "csv_sha256", *ARCHIVE_ARRAYS):
+        if name not in entries:
+            raise DatasetError(f"{archive}: missing entry {name!r}{rerun}")
+    kind = entries["format"].tolist(), entries["version"].tolist()
+    if kind != (ARCHIVE_FORMAT, ARCHIVE_VERSION):
+        raise DatasetError(f"{archive}: {kind[0]!r} version {kind[1]!r}, not "
+                           f"{ARCHIVE_FORMAT!r} version {ARCHIVE_VERSION}{rerun}")
+    if entries["csv_sha256"].tolist() != digest:
+        raise DatasetError(f"{path}: sha256 does not match its archive (CSV edited, "
+                           f"or archive of another file){rerun}")
+    ts, inputs, outputs_v, outputs_a = arrays = [entries[name] for name in ARCHIVE_ARRAYS]
+    if not (ts.ndim == 1 and ts.dtype == np.int64
+            and all(a.ndim == 2 and len(a) == len(ts) and a.dtype == np.float64
+                    for a in arrays[1:])
+            and inputs.shape[1] % 2 == 0 and outputs_v.shape == outputs_a.shape):
+        shapes = ", ".join(f"{name} {a.dtype}{list(a.shape)}"
+                           for name, a in zip(ARCHIVE_ARRAYS, arrays))
+        raise DatasetError(f"{archive}: arrays {shapes} do not form a dataset{rerun}")
+    return ts.astype("datetime64[s]"), inputs, outputs_v, outputs_a
+
+
+def _checked(path, ts, inputs, outputs_v, outputs_a) -> Dataset:
+    """The arrays as a Dataset once their values pass; data row t is CSV line t + 2."""
     if not len(ts):
         raise DatasetError(f"{path}: no data rows")
-    nat = np.isnat(ts)  # never parsed, but write_csv writes a not-a-time as 'NaTZ'
+    nat = np.isnat(ts)  # write_csv writes a not-a-time as 'NaTZ'
     if nat.any():
         t = int(nat.argmax())
         raise DatasetError(f"{path}:{t + 2}: bad timestamp {format_timestamp(ts[t])!r}")
@@ -337,13 +320,20 @@ def _checked(path, header: list[str], ts, inputs, outputs_v, outputs_a) -> Datas
     if not all(np.isfinite(block).all() for block in blocks):
         # the first bad row, then its first bad column
         t, k = np.argwhere(~np.isfinite(np.hstack(blocks)))[0]
-        raise DatasetError(f"{path}:{t + 2}: non-finite value in column "
-                           f"{header[1 + k]!r}")
+        column = _header(inputs.shape[1] // 2, outputs_v.shape[1])[1 + k]
+        raise DatasetError(f"{path}:{t + 2}: non-finite value in column {column!r}")
     not_increasing = np.diff(ts.astype(np.int64)) <= 0
     if not_increasing.any():  # the later row of pair t is line t + 3
         raise DatasetError(f"{path}:{int(not_increasing.argmax()) + 3}: "
                            f"non-monotone timestamp")
     return Dataset(timestamps=ts, inputs=inputs, outputs_v=outputs_v, outputs_a=outputs_a)
+
+
+def _header(n_p: int, n_v: int) -> list[str]:
+    """The CSV's column names: timestamp, then p, q, v and a by index."""
+    return ["timestamp"] + [f"{name}_{i}" for name, n in (("p", n_p), ("q", n_p),
+                                                          ("v", n_v), ("a", n_v))
+                            for i in range(n)]
 
 
 def _archive_path(path) -> str:
@@ -358,45 +348,3 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _read_archive(path) -> tuple | None:
-    """The arrays of the archive beside `path`, or None unless that archive
-    is readable, of this format and version, and written with the bytes
-    the CSV has now. A miss only means the CSV is parsed."""
-    try:
-        with open(_archive_path(path), "rb") as f:
-            if f.read(4) != b"PK\x03\x04":  # the zip magic that opens every .npz
-                return None
-            f.seek(0)
-            with np.load(f, allow_pickle=False) as archive:
-                if (archive["format"].tolist() != ARCHIVE_FORMAT
-                        or archive["version"].tolist() != ARCHIVE_VERSION
-                        or archive["csv_sha256"].tolist() != _sha256(path)):
-                    return None
-                ts, *values = (archive[name] for name in ARCHIVE_ARRAYS)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        return None
-    return (ts.astype("datetime64[s]"), *values)
-
-
-def _parse_header(path, header: list[str]) -> tuple[int, int]:
-    if not header or header[0] != "timestamp":
-        raise DatasetError(f"{path}: header must start with 'timestamp'")
-    counts = {"p": 0, "q": 0, "v": 0, "a": 0}
-    for pos, col in enumerate(header[1:]):
-        prefix, _, idx = col.partition("_")
-        if prefix not in counts or not idx.isdigit():
-            raise DatasetError(f"{path}: unexpected column {col!r}")
-        counts[prefix] += 1
-    expected = (["p_%d" % i for i in range(counts["p"])]
-                + ["q_%d" % i for i in range(counts["q"])]
-                + ["v_%d" % i for i in range(counts["v"])]
-                + ["a_%d" % i for i in range(counts["a"])])
-    if header[1:] != expected:
-        raise DatasetError(f"{path}: columns out of canonical p,q,v,a order")
-    if counts["p"] != counts["q"] or counts["v"] != counts["a"]:
-        raise DatasetError(f"{path}: p/q or v/a column counts differ: {counts}")
-    if counts["p"] == 0 or counts["v"] == 0:
-        raise DatasetError(f"{path}: missing load or voltage columns")
-    return counts["p"], counts["v"]

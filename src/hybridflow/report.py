@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -95,10 +96,11 @@ class Histogram:
 def histogram(errors: np.ndarray, bin_width: float, clip: float) -> Histogram:
     """Fixed-width bins on [0, clip); values >= clip are counted as clipped."""
     errors = np.asarray(errors, dtype=float)
-    if bin_width <= 0:
-        raise ReportError("bin_width must be > 0")
-    if clip <= 0:
-        raise ReportError("clip must be > 0")
+    # written so that a NaN fails each comparison
+    if not 0 < bin_width < math.inf:
+        raise ReportError("bin_width must be finite and > 0")
+    if not 0 < clip < math.inf:
+        raise ReportError("clip must be finite and > 0")
     if (errors < 0).any():
         raise ReportError("errors must be non-negative")
     n_bins = int(np.ceil(clip / bin_width))

@@ -1,13 +1,12 @@
 """Test oracles: slow reference implementations, structurally independent
 of the library code they check."""
 
-import csv
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from hybridflow.dataset import Dataset, DatasetError, _parse_header, parse_timestamp
+from hybridflow.dataset import Dataset
 from hybridflow.loadgen import LoadProfileSpec, minute_of_week, mode_table
 from hybridflow.netmodel import Network
 from hybridflow.solver import SolverSettings, VoltageSolution, injections
@@ -120,44 +119,3 @@ def write_csv_rowwise(dataset: Dataset, path) -> None:
         f.write(",".join(header) + "\r\n")
         f.writelines(row % (stamp, *x) for stamp, x in zip(stamps.tolist(), values.tolist()))
 
-
-def read_csv_rowwise(path) -> Dataset:
-    """Reference dataset reader: the csv module splits each row and numpy
-    converts it, one row at a time; its errors name the file line."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        n_p, n_v = _parse_header(path, header)
-        width = 1 + 2 * n_p + 2 * n_v
-        timestamps = []
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise DatasetError(f"{path}:{lineno}: expected {width} columns, "
-                                   f"got {len(row)}")
-            try:
-                timestamps.append(parse_timestamp(row[0]))
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
-            try:
-                values.append(np.array(row[1:], dtype=float))
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-numeric value") from None
-    if not values:
-        raise DatasetError(f"{path}: no data rows")
-    # every row is converted before any value or timestamp is checked
-    for lineno, row in enumerate(values, start=2):
-        for name, value in zip(header[1:], row):
-            if not np.isfinite(value):
-                raise DatasetError(f"{path}:{lineno}: non-finite value in column {name!r}")
-    for lineno in range(3, len(timestamps) + 2):
-        if timestamps[lineno - 2] <= timestamps[lineno - 3]:
-            raise DatasetError(f"{path}:{lineno}: non-monotone timestamp")
-    data = np.array(values)
-    return Dataset(timestamps=np.array(timestamps, dtype="datetime64[s]"),
-                   inputs=data[:, :2 * n_p],
-                   outputs_v=data[:, 2 * n_p:2 * n_p + n_v],
-                   outputs_a=data[:, 2 * n_p + n_v:])

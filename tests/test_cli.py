@@ -231,11 +231,15 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
     ("", "", {"records.csv": RECORDS},
      ["report", "--records", "{tmp}/records.csv", "--bin-width", "0"]),
     ("", "", {"records.csv": SHORT_RECORD}, ["report", "--records", "{tmp}/records.csv"]),
+    ("", "", {"records.csv": RECORDS},
+     ["report", "--records", "{tmp}/records.csv", "--clip", "inf"]),
+    ("", "", {"records.csv": RECORDS},
+     ["report", "--records", "{tmp}/records.csv", "--bin-width", "nan"]),
 ], ids=["interval_not_int", "interval_zero", "threshold_null", "threshold_nan",
         "step_change_negative", "step_change_nan", "distance_negative", "tolerance_nan",
         "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
         "zero_impedance", "bus_without_id", "calibration_days", "bin_width_zero",
-        "records_short_row"])
+        "records_short_row", "clip_inf", "bin_width_nan"])
 def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -298,21 +302,67 @@ def test_singular_jacobian_is_one_line_error(workdir, tmp_path, capsys, monkeypa
 
 
 def test_nan_load_in_dataset_is_one_line_error(workdir, tmp_path, capsys):
-    rows = (workdir / "out" / "dataset.csv").read_text().splitlines()
+    data = ds.read_csv(workdir / "out" / "dataset.csv")
     # data row i is on line i + 2; after 1 dropped and 3 training days of
     # 48 rows, the test window starts at row 4 * 48
     lineno = 2 + 4 * 48 + 5
-    cells = rows[lineno - 1].split(",")
-    cells[1] = "nan"
-    rows[lineno - 1] = ",".join(cells)
+    data.inputs[lineno - 2, 0] = np.nan
     dataset = tmp_path / "dataset.csv"
-    dataset.write_text("\n".join(rows) + "\n")
+    ds.write_csv(data, dataset)
     config = _config_with(workdir, tmp_path, f"dataset: {workdir / 'out'}/dataset.csv",
                           f"dataset: {dataset}")
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),
                  "simulate"]) == 1
     assert _one_error_line(capsys) == (f"error: {dataset}:{lineno}: non-finite value "
                                        f"in column 'p_0'")
+
+
+@pytest.mark.parametrize("damage, named", [
+    (lambda csv: csv.write_text(csv.read_text().replace(",+", ",", 1)), ""),
+    (lambda csv: Path(f"{csv}.npz").unlink(), ".npz"),
+    (lambda csv: Path(f"{csv}.npz").write_bytes(Path(f"{csv}.npz").read_bytes()[:100]), ".npz"),
+], ids=["edited_csv", "absent_archive", "truncated_archive"])
+def test_stale_dataset_is_one_line_error(workdir, tmp_path, capsys, damage, named):
+    dataset = tmp_path / "dataset.csv"
+    for suffix in ("", ".npz"):
+        Path(f"{dataset}{suffix}").write_bytes(
+            Path(f"{workdir / 'out' / 'dataset.csv'}{suffix}").read_bytes())
+    damage(dataset)
+    config = _config_with(workdir, tmp_path, f"dataset: {workdir / 'out'}/dataset.csv",
+                          f"dataset: {dataset}")
+    assert main(["--config", str(config), "train"]) == 1
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: {dataset}{named}: ")
+    assert line.endswith("; rerun generate")
+
+
+ONE_ROW_TEST_SET = """\
+network: net4
+dataset: {out}/dataset.csv
+load_spec:
+  n_loads: 2
+  resolution_minutes: 1440
+  duration_days: 14
+split:
+  drop_days: 0
+  train_days: 12
+  test_days: 1
+surrogate:
+  method: none
+  model_file: {out}/surrogate.json
+output_dir: {out}
+"""
+
+
+def test_tune_on_a_one_row_test_set_is_one_line_error(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(ONE_ROW_TEST_SET.format(out=tmp_path / "out"))
+    for stage in (["generate"], ["train"], ["simulate"]):
+        assert main(["--config", str(config), *stage]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config), "tune", "--parameter", "step_change",
+                 "--values", "0.2"]) == 1
+    assert _one_error_line(capsys) == "error: cannot infer resolution from fewer than 2 rows"
 
 
 def test_cli_import_leaves_scipy_out():
