@@ -9,12 +9,14 @@ CSV, an archive of the same arrays bound to the CSV's bytes by their
 sha256.
 
 `read_csv` reads the archive only: the CSV is a write-only export, and
-reading checks only that its digest still matches. An edited CSV, or an
-absent or damaged archive, is an error naming the file, with no fallback.
+reading checks only that its digest still matches. An edited CSV (cited
+by its first edited line), or an absent or damaged archive, is an error
+naming the file, with no fallback.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -144,37 +146,40 @@ def write_csv(dataset: Dataset, path) -> None:
     """
     import hashlib  # here: loading OpenSSL adds ~5 ms to every CLI start
 
-    header = _header(dataset.n_loads, dataset.n_voltages)
-    # the csv module's excel dialect (\r\n line ends); no cell needs quoting
-    row = "%sZ" + ",%+.16e" * (len(header) - 1) + "\r\n"
     ts = dataset.timestamps.astype("datetime64[s]")
-    stamps = np.datetime_as_string(ts, unit="s")
-    blocks = (dataset.inputs, dataset.outputs_v, dataset.outputs_a)
-    block_rows = max(1, BLOCK_CELLS // (len(header) - 1))
-    cells = _CellFormatter()
     digest = hashlib.sha256()
     with open(path, "wb") as f:
-        def emit(chunk) -> None:
+        for chunk in _csv_chunks(ts, dataset.inputs, dataset.outputs_v, dataset.outputs_a):
             digest.update(chunk)
             f.write(chunk)
-
-        emit((",".join(header) + "\r\n").encode())
-        for lo in range(0, len(stamps), block_rows):
-            x = np.concatenate([b[lo:lo + block_rows] for b in blocks], axis=1,
-                               dtype=np.float64)
-            lines, fast = cells.lines(stamps[lo:lo + block_rows], x)
-            start = 0
-            for t in np.flatnonzero(~fast).tolist():
-                emit(lines[start:t])
-                emit((row % (stamps[lo + t], *x[t].tolist())).encode())
-                start = t + 1
-            emit(lines[start:])
     # a handle, since np.savez appends .npz to a name; float64, as `read_csv` requires
     with open(_archive_path(path), "wb") as f:
         np.savez(f, format=np.array(ARCHIVE_FORMAT), version=np.array(ARCHIVE_VERSION),
                  csv_sha256=np.array(digest.hexdigest()), timestamps=ts.astype(np.int64),
                  **{name: np.asarray(getattr(dataset, name), dtype=np.float64)
                     for name in ARCHIVE_ARRAYS[1:]})
+
+
+def _csv_chunks(ts, inputs, outputs_v, outputs_a):
+    """The CSV's bytes, in chunks: the header line, then each block's lines."""
+    header = _header(inputs.shape[1] // 2, outputs_v.shape[1])
+    # the csv module's excel dialect (\r\n line ends); no cell needs quoting
+    row = "%sZ" + ",%+.16e" * (len(header) - 1) + "\r\n"
+    stamps = np.datetime_as_string(ts, unit="s")
+    blocks = (inputs, outputs_v, outputs_a)
+    block_rows = max(1, BLOCK_CELLS // (len(header) - 1))
+    cells = _CellFormatter()
+    yield (",".join(header) + "\r\n").encode()
+    for lo in range(0, len(stamps), block_rows):
+        x = np.concatenate([b[lo:lo + block_rows] for b in blocks], axis=1,
+                           dtype=np.float64)
+        lines, fast = cells.lines(stamps[lo:lo + block_rows], x)
+        start = 0
+        for t in np.flatnonzero(~fast).tolist():
+            yield lines[start:t]
+            yield (row % (stamps[lo + t], *x[t].tolist())).encode()
+            start = t + 1
+        yield lines[start:]
 
 
 class _CellFormatter:
@@ -265,12 +270,13 @@ def read_csv(path) -> Dataset:
 
     The archive must be of this format and version and hold the sha256 of
     the CSV as it is on disk now. Every failure is one DatasetError naming
-    the file; an error in the values names its CSV line.
+    the file; an error in the values, or an edit to the CSV, names its CSV
+    line.
     """
     return _checked(path, *_read_archive(path))
 
 
-def _read_archive(path) -> tuple:
+def _read_archive(path) -> list:
     """The timestamps and value arrays of the archive beside `path`."""
     archive = _archive_path(path)
     rerun = "; rerun generate"
@@ -294,9 +300,6 @@ def _read_archive(path) -> tuple:
     if kind != (ARCHIVE_FORMAT, ARCHIVE_VERSION):
         raise DatasetError(f"{archive}: {kind[0]!r} version {kind[1]!r}, not "
                            f"{ARCHIVE_FORMAT!r} version {ARCHIVE_VERSION}{rerun}")
-    if entries["csv_sha256"].tolist() != digest:
-        raise DatasetError(f"{path}: sha256 does not match its archive (CSV edited, "
-                           f"or archive of another file){rerun}")
     ts, inputs, outputs_v, outputs_a = arrays = [entries[name] for name in ARCHIVE_ARRAYS]
     if not (ts.ndim == 1 and ts.dtype == np.int64
             and all(a.ndim == 2 and len(a) == len(ts) and a.dtype == np.float64
@@ -305,7 +308,22 @@ def _read_archive(path) -> tuple:
         shapes = ", ".join(f"{name} {a.dtype}{list(a.shape)}"
                            for name, a in zip(ARCHIVE_ARRAYS, arrays))
         raise DatasetError(f"{archive}: arrays {shapes} do not form a dataset{rerun}")
-    return ts.astype("datetime64[s]"), inputs, outputs_v, outputs_a
+    arrays = [ts.astype("datetime64[s]"), inputs, outputs_v, outputs_a]
+    if entries["csv_sha256"].tolist() != digest:
+        line = _first_edited_line(path, arrays)
+        raise DatasetError(f"{path}{f':{line}' if line else ''}: sha256 does not match its "
+                           f"archive (CSV edited, or archive of another file){rerun}")
+    return arrays
+
+
+def _first_edited_line(path, arrays) -> int | None:
+    """The first line of the CSV at `path` whose text differs from the CSV
+    `write_csv` writes for the arrays, line ends aside; None if none does."""
+    with open(path, "rb") as f:
+        on_disk = f.read().splitlines()
+    written = b"".join(_csv_chunks(*arrays)).splitlines()
+    pairs = enumerate(itertools.zip_longest(on_disk, written), start=1)
+    return next((n for n, (a, b) in pairs if a != b), None)
 
 
 def _checked(path, ts, inputs, outputs_v, outputs_a) -> Dataset:

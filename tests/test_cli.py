@@ -318,7 +318,7 @@ def test_nan_load_in_dataset_is_one_line_error(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage, named", [
-    (lambda csv: csv.write_text(csv.read_text().replace(",+", ",", 1)), ""),
+    (lambda csv: csv.write_text(csv.read_text().replace(",+", ",", 1)), ":2"),
     (lambda csv: Path(f"{csv}.npz").unlink(), ".npz"),
     (lambda csv: Path(f"{csv}.npz").write_bytes(Path(f"{csv}.npz").read_bytes()[:100]), ".npz"),
 ], ids=["edited_csv", "absent_archive", "truncated_archive"])

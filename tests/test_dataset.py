@@ -79,6 +79,31 @@ def test_round_trip_write_read_write_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_minimal_two_row_file(tmp_path):
+    data = make_data(T=2, n_p=1, n_v=1, step_minutes=5)
+    data.inputs[1, 0] = 0.2
+    path = written(data, tmp_path / "min.csv")
+    assert path.read_text().splitlines()[0] == "timestamp,p_0,q_0,v_0,a_0"
+    loaded = read_csv(path)
+    assert loaded.n_steps == 2
+    assert loaded.n_loads == 1
+    assert loaded.inputs[1, 0] == 0.2
+
+
+def test_nan_value_cites_row(tmp_path):
+    data = make_data(T=6, n_p=1, n_v=1, step_minutes=5)
+    data.inputs[3, 1] = np.nan
+    with pytest.raises(DatasetError, match=r"nan\.csv:5.*q_0"):
+        read_csv(written(data, tmp_path / "nan.csv"))
+
+
+def test_non_monotone_timestamps_rejected(tmp_path):
+    data = make_data(T=2, n_p=1, n_v=1, step_minutes=5)
+    data.timestamps[:] = data.timestamps[::-1].copy()  # after the constructor's check
+    with pytest.raises(DatasetError, match="monotone"):
+        read_csv(written(data, tmp_path / "mono.csv"))
+
+
 def test_generated_dataset_round_trip(tmp_path, small_dataset):
     loaded = read_csv(written(small_dataset, tmp_path / "gen.csv"))
     assert np.array_equal(loaded.inputs, small_dataset.inputs)
@@ -159,30 +184,94 @@ def test_archive_is_byte_identical_on_rewrite(tmp_path):
     assert archive_of(written(data, tmp_path / "b.csv")).read_bytes() == first
 
 
-CELL = ",+1.2500000000000000e-01,"  # 0.125, a unique cell of the file below
+STALE = "sha256 does not match its archive (CSV edited, or archive of another file)"
 
 
-@pytest.mark.parametrize("cell", [",+3.7500000000000000e-01,", ",+1.2x00000000000000e-01,"],
-                         ids=["same_length", "bad_cell"])
-def test_edited_csv_is_one_line_error(tmp_path, cell):
+def stale_file(tmp_path):
+    """A written file with a unique cell, 0.125 at data row 1 (line 3)."""
     data = make_data(T=6)
     data.inputs[1, 0] = 0.125
     path = written(data, tmp_path / "d.csv")
-    text = path.read_text()
-    assert text.count(CELL) == 1
-    path.write_text(text.replace(CELL, cell))
+    assert path.read_text().count(",+1.2500000000000000e-01,") == 1
+    return path
+
+
+def test_edited_cell_of_the_same_length_is_one_line_error(tmp_path):
+    path = stale_file(tmp_path)
+    path.write_text(path.read_text().replace(",+1.2500000000000000e-01,",
+                                            ",+3.7500000000000000e-01,"))
     with pytest.raises(DatasetError) as info:
         read_csv(path)
-    assert str(info.value) == (f"{path}: sha256 does not match its archive (CSV edited, "
-                               f"or archive of another file); rerun generate")
+    assert str(info.value) == f"{path}:3: {STALE}; rerun generate"
+
+
+def test_edited_bad_cell_cites_its_line(tmp_path):
+    path = stale_file(tmp_path)
+    path.write_text(path.read_text().replace(",+1.2500000000000000e-01,",
+                                            ",+1.2x00000000000000e-01,"))
+    with pytest.raises(DatasetError) as info:
+        read_csv(path)
+    assert str(info.value) == f"{path}:3: {STALE}; rerun generate"
+
+
+@pytest.mark.parametrize("cell, column", [
+    ("2024-01-01T00:61:00Z", 0),
+    ("0.1x", 2),
+    ('"0,1"', 2),
+], ids=["bad_timestamp", "non_numeric", "quoted_comma"])
+def test_bad_cell_cites_line(tmp_path, cell, column):
+    """A cell edited into a written file is cited by its line."""
+    path = written(make_data(T=4, n_p=1, n_v=1, step_minutes=5), tmp_path / "bad.csv")
+    lines = path.read_bytes().decode().split("\r\n")
+    cells = lines[3].split(",")
+    cells[column] = cell
+    lines[3] = ",".join(cells)
+    path.write_bytes("\r\n".join(lines).encode())
+    with pytest.raises(DatasetError, match=rf"bad\.csv:4: {re.escape(STALE)}; rerun generate$"):
+        read_csv(path)
+
+
+def test_ragged_row_rejected(tmp_path):
+    path = written(make_data(T=2, n_p=1, n_v=1), tmp_path / "ragged.csv")
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:lines[1].rindex(",")] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetError, match=r"ragged\.csv:2: "):
+        read_csv(path)
+
+
+def test_bad_header_rejected(tmp_path):
+    path = written(make_data(T=2, n_p=1, n_v=1), tmp_path / "hdr.csv")
+    path.write_bytes(path.read_bytes().replace(b"timestamp,", b"time,", 1))
+    with pytest.raises(DatasetError, match=r"hdr\.csv:1: "):
+        read_csv(path)
+
+
+def test_non_numeric_cell_deep_in_a_long_file_cites_its_line(tmp_path):
+    """The first line that differs from what the archive writes is found
+    55,000 rows into a 60,000-row file."""
+    path = written(make_data(T=60_000, n_p=1, n_v=1, step_minutes=1), tmp_path / "long.csv")
+    lines = path.read_bytes().split(b"\r\n")
+    lines[54_999] = lines[54_999].replace(b"e", b"x", 1)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(DatasetError, match=r"long\.csv:55000: "):
+        read_csv(path)
 
 
 def test_archive_of_another_file_is_not_used(tmp_path):
     other = written(make_data(T=6, seed=1), tmp_path / "other.csv")
     path = written(make_data(T=6, seed=2), tmp_path / "d.csv")
     shutil.copyfile(archive_of(other), archive_of(path))
-    with pytest.raises(DatasetError, match=r"d\.csv: sha256 does not match its archive"):
+    with pytest.raises(DatasetError, match=rf"d\.csv:2: {re.escape(STALE)}"):
         read_csv(path)
+
+
+def test_written_file_is_read_from_its_archive(tmp_path):
+    """The values come from the archive; the CSV is only hashed."""
+    data = make_data(T=8)
+    path = written(data, tmp_path / "d.csv")
+    _rewrite_archive(path, inputs=data.inputs + 1.0)
+    assert np.array_equal(read_csv(path).inputs, data.inputs + 1.0)
 
 
 def _rewrite_archive(path, **changes):
@@ -214,13 +303,15 @@ UNREADABLE = r"d\.csv\.npz: unreadable archive \(File is not a zip file\); rerun
     (lambda path: _rewrite_archive(path, format=np.array("hybridflow-surrogate")),
      r"d\.csv\.npz: 'hybridflow-surrogate' version 1, not 'hybridflow-dataset' version 1; "
      r"rerun generate"),
+    (lambda path: _rewrite_archive(path, csv_sha256=np.array("0" * 64)),
+     r"d\.csv: " + re.escape(STALE) + "; rerun generate"),
     (lambda path: _rewrite_archive(path, inputs=np.zeros(6)),
      r"d\.csv\.npz: arrays .*inputs float64\[6\], .* do not form a dataset; rerun generate"),
     (lambda path: _rewrite_archive(path, inputs=np.zeros((6, 3))),
      r"d\.csv\.npz: arrays .*inputs float64\[6, 3\], .* do not form a dataset; "
      r"rerun generate"),
 ], ids=["absent", "empty", "not_a_zip", "truncated", "no_digest", "no_outputs_a", "version_2",
-        "other_format", "inputs_1d", "odd_input_width"])
+        "other_format", "other_digest", "inputs_1d", "odd_input_width"])
 def test_damaged_archive_is_one_line_error(tmp_path, damage, message):
     path = written(make_data(T=6), tmp_path / "d.csv")
     damage(path)
