@@ -50,7 +50,8 @@ def run(argv=None):
                             values=[1e-4, 1e-3, 1e-2, 1e-1],
                             values2=[2, 6, 12, 24],
                             base_config=config.hybrid)
-    results = tuning.sweep(spec, model, network, test_set.series(), config.solver)
+    results = tuning.sweep(spec, model, network, test_set.series(), data.steps_per_day,
+                           config.solver)
     tuning.write_sweep(results, config.out / "sweep_error_grid.csv")
     best = tuning.recommend(results, max_error_budget=0.01)
     if best is not None:

@@ -42,16 +42,16 @@ def cmd_train(config: RunConfig) -> None:
     _progress(f"train: {model.method} n_c={model.n_c} model written to {model_path}")
 
 
-def _test_set(config: RunConfig) -> ds.Dataset:
+def _dataset_and_test_set(config: RunConfig) -> tuple[ds.Dataset, ds.Dataset]:
     if config.split.test_days == 0:  # `split` allows it, for a train-only run
         raise ds.DatasetError("split.test_days is 0: simulate and tune need a test set")
     data = ds.read_csv(config.resolve(config.dataset_path))
-    return ds.split(data, config.split)[1]
+    return data, ds.split(data, config.split)[1]
 
 
 def cmd_simulate(config: RunConfig, pure_solver: bool = False) -> None:
     network = config.load_network()
-    test_set = _test_set(config)
+    _, test_set = _dataset_and_test_set(config)
     series = test_set.series()
     out = config.out
 
@@ -60,8 +60,7 @@ def cmd_simulate(config: RunConfig, pure_solver: bool = False) -> None:
         # every step is solved and no gate runs, so no check triggered one
         records = [hybrid.StepRecord(timestamp=stamp, decision=SOLVER,
                                      triggering_check=None,
-                                     solver_iterations=s.iterations,
-                                     wall_time=s.wall_time)
+                                     solver_iterations=s.iterations)
                    for stamp, s in zip(series.timestamps, solutions)]
     else:
         model = sg.load(config.resolve(config.surrogate.model_file))
@@ -80,13 +79,14 @@ def cmd_simulate(config: RunConfig, pure_solver: bool = False) -> None:
 
 def cmd_tune(config: RunConfig, parameter: str, values: list[float],
              values2: list[float] | None, calibration_days: tuple[int, int]) -> None:
-    network = config.load_network()
-    series = _test_set(config).series()
-    model = sg.load(config.resolve(config.surrogate.model_file))
     spec = tuning.SweepSpec(parameter=parameter, values=values, values2=values2,
                             calibration_days=calibration_days,
                             base_config=config.hybrid)
-    results = tuning.sweep(spec, model, network, series, config.solver)
+    network = config.load_network()
+    data, test_set = _dataset_and_test_set(config)
+    model = sg.load(config.resolve(config.surrogate.model_file))
+    results = tuning.sweep(spec, model, network, test_set.series(), data.steps_per_day,
+                           config.solver)
     out = config.out / f"sweep_{parameter}.csv"
     tuning.write_sweep(results, out)
     _progress(f"tune: {len(results)} grid points -> {out}")
@@ -156,8 +156,6 @@ def main(argv=None) -> int:
                 lo, hi = (int(x) for x in args.calibration_days.split(","))
             except ValueError:
                 raise ValueError("--calibration-days expects LO,HI") from None
-            if not args.values:
-                raise tuning.TuningError("empty sweep grid")
             cmd_tune(config, args.parameter, args.values, args.values2, (lo, hi))
         elif args.command == "report":
             cmd_report(config, args.records, args.bin_width, args.clip)

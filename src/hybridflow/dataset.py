@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loadgen import LoadSeries, steps_per_day
+from .loadgen import LoadSeries
 
 
 ARCHIVE_FORMAT = "hybridflow-dataset"
@@ -73,7 +73,13 @@ class Dataset:
 
     @property
     def steps_per_day(self) -> int:
-        return steps_per_day(self.timestamps, DatasetError)
+        """Steps per day, from the first step; the others equal it."""
+        if self.n_steps < 2:
+            raise DatasetError("cannot infer resolution from fewer than 2 rows")
+        step = int((self.timestamps[1] - self.timestamps[0]) / np.timedelta64(1, "s"))
+        if 86400 % step != 0:
+            raise DatasetError(f"step of {step} s does not divide one day")
+        return 86400 // step
 
     def rows(self, lo: int, hi: int) -> "Dataset":
         return Dataset(self.timestamps[lo:hi], self.inputs[lo:hi],
@@ -340,10 +346,11 @@ def _checked(path, ts, inputs, outputs_v, outputs_a) -> Dataset:
         t, k = np.argwhere(~np.isfinite(np.hstack(blocks)))[0]
         column = _header(inputs.shape[1] // 2, outputs_v.shape[1])[1 + k]
         raise DatasetError(f"{path}:{t + 2}: non-finite value in column {column!r}")
-    not_increasing = np.diff(ts.astype(np.int64)) <= 0
-    if not_increasing.any():  # the later row of pair t is line t + 3
-        raise DatasetError(f"{path}:{int(not_increasing.argmax()) + 3}: "
-                           f"non-monotone timestamp")
+    deltas = np.diff(ts.astype(np.int64))
+    for bad, problem in ((deltas <= 0, "non-monotone timestamp"),
+                         (deltas != deltas[:1], "timestamps not uniformly spaced")):
+        if bad.any():  # the later row of pair t is line t + 3
+            raise DatasetError(f"{path}:{int(bad.argmax()) + 3}: {problem}")
     return Dataset(timestamps=ts, inputs=inputs, outputs_v=outputs_v, outputs_a=outputs_a)
 
 

@@ -122,12 +122,7 @@ def step(state: HybridState, prediction: tuple[np.ndarray, np.ndarray, str | Non
         trigger = ERROR_HIGH
 
     if trigger is not None:
-        guess, chord = ((state.last_accepted, state.chord) if settings.warm_start
-                        else (None, None))
-        solution = solve_newton_raphson(network, p_t, q_t, guess, settings, chord)
-        if not solution.converged:
-            raise SimulationError(f"solver did not converge "
-                                  f"(max {settings.max_iterations} iterations)")
+        solution = _solve(state, network, p_t, q_t, settings)
         state.last_observed_model_error = eps_inf(pred_v, pred_a, solution.v, solution.a)
         state.steps_since_check = 0
         record = StepRecord(timestamp=timestamp, decision=SOLVER,
@@ -206,21 +201,29 @@ def run_pure_solver(network: Network, load_series: LoadSeries,
     """Ground-truth replay: solve every timestep, warm-starting from the
     previous solution and its inverted Jacobian (flat full-Newton start on
     the first)."""
+    state = HybridState()
     solutions = []
-    chord = Chord() if settings.warm_start else None
     for t in range(load_series.n_steps):
-        guess = solutions[-1] if solutions and settings.warm_start else None
         try:
-            sol = solve_newton_raphson(network, load_series.P[t], load_series.Q[t],
-                                       guess, settings, chord)
-        except SingularJacobianError as exc:
+            state.last_accepted = _solve(state, network, load_series.P[t],
+                                         load_series.Q[t], settings)
+        except (SimulationError, SingularJacobianError) as exc:
             raise SimulationError(f"{exc} at {load_series.timestamps[t]} (row {t})") from None
-        if not sol.converged:
-            raise SimulationError(f"solver did not converge "
-                                  f"(max {settings.max_iterations} iterations) "
-                                  f"at {load_series.timestamps[t]} (row {t})")
-        solutions.append(sol)
+        solutions.append(state.last_accepted)
     return solutions
+
+
+def _solve(state: HybridState, network: Network, p: np.ndarray, q: np.ndarray,
+           settings: SolverSettings) -> VoltageSolution:
+    """A converged solve, warm-started from `state`'s last accepted solution
+    and inverted Jacobian when `settings.warm_start` is on."""
+    guess, chord = ((state.last_accepted, state.chord) if settings.warm_start
+                    else (None, None))
+    solution = solve_newton_raphson(network, p, q, guess, settings, chord)
+    if not solution.converged:
+        raise SimulationError(f"solver did not converge "
+                              f"(max {settings.max_iterations} iterations)")
+    return solution
 
 
 RECORD_HEADER = ["timestamp", "decision", "triggering_check", "eps_inf",

@@ -116,17 +116,6 @@ def minute_of_week(timestamps: np.ndarray) -> np.ndarray:
     return (minutes + 3 * MINUTES_PER_DAY) % MINUTES_PER_WEEK
 
 
-def steps_per_day(timestamps: np.ndarray, error: type[Exception]) -> int:
-    """Steps per day of uniformly spaced `timestamps`, from their first step;
-    `error` is raised when there is no step or it does not divide a day."""
-    if len(timestamps) < 2:
-        raise error("cannot infer resolution from fewer than 2 rows")
-    step = int((timestamps[1] - timestamps[0]) / np.timedelta64(1, "s"))
-    if 86400 % step != 0:
-        raise error(f"step of {step} s does not divide one day")
-    return 86400 // step
-
-
 def generate(spec: LoadProfileSpec, network: Network | None = None) -> LoadSeries:
     """Generate a deterministic (seeded) load series for the spec.
 

@@ -9,8 +9,6 @@ the maximum over buses: one per vector of n_v buses, or one per row of a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -23,15 +21,9 @@ class MetricError(ValueError):
         self.row = row
 
 
-@dataclass
-class ErrorReport:
-    per_bus: np.ndarray                # [n_v] or [T, n_v]
-    eps_inf: float | np.ndarray        # a float, or [T] for a batch
-    worst_bus: int | np.ndarray        # an int, or [T] for a batch
-
-
-def vector_error(pred_v: np.ndarray, pred_a: np.ndarray,
-                 true_v: np.ndarray, true_a: np.ndarray) -> ErrorReport:
+def eps_inf(pred_v, pred_a, true_v, true_a) -> float | np.ndarray:
+    """Worst-bus normalized chord error: a float for one vector of n_v
+    buses, [T] for a [T, n_v] batch."""
     pred_v = np.asarray(pred_v, dtype=float)
     pred_a = np.asarray(pred_a, dtype=float)
     true_v = np.asarray(true_v, dtype=float)
@@ -45,20 +37,11 @@ def vector_error(pred_v: np.ndarray, pred_a: np.ndarray,
     norm = np.abs(true_v)  # ||(v cos a, v sin a)|| = |v|
     # zero-norm truth: fall back to the unnormalized error
     per_bus = np.divide(diff, norm, out=diff, where=norm > 0.0)
-    # NaN/inf in any input propagates here, and max and argmax both prefer
-    # NaN to any finite value, so checking the worst bus covers all four
-    worst = per_bus.argmax(axis=-1)
+    # NaN/inf in any input propagates here, and max prefers NaN to any
+    # finite value, so checking the worst bus covers all four
     eps = per_bus.max(axis=-1)
     finite = np.isfinite(eps)
     if not finite.all():
         raise MetricError("non-finite value in metric input",
                           row=int(finite.argmin()) if eps.ndim else None)
-    if eps.ndim == 0:  # one vector: a float and an int, not numpy scalars
-        eps, worst = float(eps), int(worst)
-    return ErrorReport(per_bus=per_bus, eps_inf=eps, worst_bus=worst)
-
-
-def eps_inf(pred_v, pred_a, true_v, true_a) -> float | np.ndarray:
-    """Worst-bus aggregate of vector_error: a float for one vector, [T]
-    for a [T, n_v] batch."""
-    return vector_error(pred_v, pred_a, true_v, true_a).eps_inf
+    return float(eps) if eps.ndim == 0 else eps

@@ -123,19 +123,19 @@ def build_admittance(buses: list[Bus], lines: list[Line]) -> np.ndarray:
         Y[i, i] += y + 0.5j * line.shunt_susceptance
         Y[j, j] += y + 0.5j * line.shunt_susceptance
 
-    if n == 0 or len(_reachable(n, lines, 0)) != n:
+    if n == 0 or len(_reachable(n, lines)) != n:
         raise NetworkStructureError("line graph is not connected")
     return Y
 
 
-def _reachable(n_bus: int, lines: list[Line], start: int) -> set[int]:
-    """Buses reachable from `start` over the lines (start included)."""
+def _reachable(n_bus: int, lines: list[Line]) -> set[int]:
+    """Buses reachable from bus 0 over the lines (bus 0 included)."""
     adjacency: list[list[int]] = [[] for _ in range(n_bus)]
     for line in lines:
         adjacency[line.from_bus].append(line.to_bus)
         adjacency[line.to_bus].append(line.from_bus)
-    seen = {start}
-    stack = [start]
+    seen = {0}
+    stack = [0]
     while stack:
         node = stack.pop()
         for nxt in adjacency[node]:
@@ -146,41 +146,25 @@ def _reachable(n_bus: int, lines: list[Line], start: int) -> set[int]:
 
 
 def make_network(buses: list[Bus], lines: list[Line], name: str = "network") -> Network:
-    """Validate elements, build Y, and assemble an immutable Network."""
+    """Validate elements, build Y, and assemble an immutable Network.
+
+    Besides what `build_admittance` checks, raises unless there is one
+    slack bus, every bus kind is known and the load attachments are
+    0..n_loads-1.
+    """
     Y = build_admittance(buses, lines)
-    net = Network(buses=buses, lines=lines, Y=Y, name=name)
-    violations = validate(net)
-    if violations:
-        raise NetworkValidationError("; ".join(violations))
-    Y.setflags(write=False)
-    return net
-
-
-def validate(network: Network) -> list[str]:
-    """Diagnostic check of the Network invariants that `build_admittance`
-    does not already enforce; empty list means valid."""
-    violations = []
-    slacks = [b.id for b in network.buses if b.kind == SLACK]
+    slacks = [b.id for b in buses if b.kind == SLACK]
     if len(slacks) != 1:
-        violations.append(f"expected exactly one slack bus, found {slacks}")
-    for bus in network.buses:
+        raise NetworkValidationError(f"expected exactly one slack bus, found {slacks}")
+    for bus in buses:
         if bus.kind not in (SLACK, PQ):
-            violations.append(f"bus {bus.id} has unknown kind {bus.kind!r}")
-    attachments = [b.load_attachment for b in network.buses
-                   if b.load_attachment is not None]
-    if sorted(attachments) != list(range(len(attachments))):
-        violations.append(f"load attachments not contiguous 0..{len(attachments) - 1}: "
-                          f"{sorted(attachments)}")
-    reachable = _reachable(network.n_bus, network.lines, slacks[0] if slacks else 0)
-    if len(reachable) != network.n_bus:
-        isolated = sorted(set(range(network.n_bus)) - reachable)
-        violations.append(f"buses unreachable from slack: {isolated}")
-    if network.Y.shape != (network.n_bus, network.n_bus):
-        violations.append(f"Y has shape {network.Y.shape}, expected "
-                          f"({network.n_bus}, {network.n_bus})")
-    elif np.max(np.abs(network.Y - network.Y.T)) != 0.0:
-        violations.append("Y is not symmetric")
-    return violations
+            raise NetworkValidationError(f"bus {bus.id} has unknown kind {bus.kind!r}")
+    attachments = sorted(b.load_attachment for b in buses if b.load_attachment is not None)
+    if attachments != list(range(len(attachments))):
+        raise NetworkValidationError(f"load attachments not contiguous "
+                                     f"0..{len(attachments) - 1}: {attachments}")
+    Y.setflags(write=False)
+    return Network(buses=buses, lines=lines, Y=Y, name=name)
 
 
 def read_yaml(path, error: type[Exception] = NetworkValidationError):

@@ -17,7 +17,6 @@ mismatch by less than half, as after a large load step.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +69,6 @@ class VoltageSolution:
     a: np.ndarray
     iterations: int
     converged: bool
-    wall_time: float = 0.0
 
 
 def injections(network: Network, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +131,6 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
     exhausted; raises SingularJacobianError on a singular system.
     """
     settings = settings or SolverSettings()
-    start = time.perf_counter()
     slack = network.slack_index
     pq = network.pq_indices
     npq = len(pq)
@@ -161,8 +158,7 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
         if worst <= settings.mismatch_tolerance:
             if chord is not None and full_newton and J is not None:
                 chord.invert(J, iteration - 1)
-            return VoltageSolution(v=v, a=a, iterations=iteration, converged=True,
-                                   wall_time=time.perf_counter() - start)
+            return VoltageSolution(v=v, a=a, iterations=iteration, converged=True)
         if iteration == settings.max_iterations:
             break
         if full_newton:
@@ -180,4 +176,4 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
         v[pq] += dx[npq:]
 
     return VoltageSolution(v=v, a=a, iterations=settings.max_iterations,
-                           converged=False, wall_time=time.perf_counter() - start)
+                           converged=False)

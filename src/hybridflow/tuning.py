@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .hybrid import HybridConfig, run_pure_solver, run_series
-from .loadgen import LoadSeries, steps_per_day
+from .loadgen import LoadSeries
 from .netmodel import Network
 from .report import step_errors
 from .solver import SolverSettings
@@ -83,16 +83,16 @@ def config_for(spec: SweepSpec, value: float, value2: float | None = None) -> Hy
 
 
 def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
-          test_series: LoadSeries, settings: SolverSettings | None = None
-          ) -> list[SweepPoint]:
-    """Run the grid on the calibration slice of the test series."""
+          test_series: LoadSeries, steps_per_day: int,
+          settings: SolverSettings | None = None) -> list[SweepPoint]:
+    """Run the grid on the calibration slice of the test series, whose
+    dataset has `steps_per_day` steps a day."""
     settings = settings or SolverSettings()
-    per_day = steps_per_day(test_series.timestamps, TuningError)
-    lo = spec.calibration_days[0] * per_day
-    hi = spec.calibration_days[1] * per_day
+    lo = spec.calibration_days[0] * steps_per_day
+    hi = spec.calibration_days[1] * steps_per_day
     if hi > test_series.n_steps or lo >= hi:
         raise TuningError(f"calibration slice {spec.calibration_days} outside the "
-                          f"test span of {test_series.n_steps // per_day} days")
+                          f"test span of {test_series.n_steps // steps_per_day} days")
     series = LoadSeries(timestamps=test_series.timestamps[lo:hi],
                         P=test_series.P[lo:hi], Q=test_series.Q[lo:hi])
     # one pure-solver replay amortized across all grid points

@@ -1,7 +1,6 @@
 """Test oracles: slow reference implementations, structurally independent
 of the library code they check."""
 
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +19,6 @@ def solve_gauss_seidel(network: Network, p: np.ndarray, q: np.ndarray,
     """Complex-voltage Gauss-Seidel sweep; slow but structurally independent
     of the Newton path, used for cross-verification."""
     settings = settings or SolverSettings()
-    start = time.perf_counter()
     n = network.n_bus
     slack = network.slack_index
     pq = network.pq_indices
@@ -41,9 +39,9 @@ def solve_gauss_seidel(network: Network, p: np.ndarray, q: np.ndarray,
         if np.max(np.abs(residual)) <= settings.mismatch_tolerance:
             V[slack] = 1.0
             return VoltageSolution(v=np.abs(V), a=np.angle(V), iterations=sweep,
-                                   converged=True, wall_time=time.perf_counter() - start)
+                                   converged=True)
     return VoltageSolution(v=np.abs(V), a=np.angle(V), iterations=GS_MAX_SWEEPS,
-                           converged=False, wall_time=time.perf_counter() - start)
+                           converged=False)
 
 
 def jacobian_dense(Y: np.ndarray, V: np.ndarray, pq: np.ndarray) -> np.ndarray:
@@ -66,7 +64,6 @@ def solve_newton_dense(network: Network, p: np.ndarray, q: np.ndarray,
     """Polar Newton-Raphson driven by `jacobian_dense`: the reference loop
     the library solver must match iteration for iteration."""
     settings = settings or SolverSettings()
-    start = time.perf_counter()
     slack = network.slack_index
     pq = network.pq_indices
     p_inj, q_inj = injections(network, p, q)
@@ -83,15 +80,14 @@ def solve_newton_dense(network: Network, p: np.ndarray, q: np.ndarray,
         S = V * np.conj(network.Y @ V)
         mismatch = np.concatenate([p_inj[pq] - S.real[pq], q_inj[pq] - S.imag[pq]])
         if np.max(np.abs(mismatch)) <= settings.mismatch_tolerance:
-            return VoltageSolution(v=v, a=a, iterations=iteration, converged=True,
-                                   wall_time=time.perf_counter() - start)
+            return VoltageSolution(v=v, a=a, iterations=iteration, converged=True)
         if iteration == settings.max_iterations:
             break
         dx = np.linalg.solve(jacobian_dense(network.Y, V, pq), mismatch)
         a[pq] += dx[:len(pq)]
         v[pq] += dx[len(pq):]
     return VoltageSolution(v=v, a=a, iterations=settings.max_iterations,
-                           converged=False, wall_time=time.perf_counter() - start)
+                           converged=False)
 
 
 def mode_labels(spec: LoadProfileSpec, timestamps: np.ndarray) -> np.ndarray:

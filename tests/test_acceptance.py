@@ -15,7 +15,7 @@ from hybridflow.cli import main
 from hybridflow.config import load_bundled_or_path
 from hybridflow.hybrid import HybridConfig, run_pure_solver, run_series
 from hybridflow.loadgen import LoadSeries
-from hybridflow.metrics import vector_error
+from hybridflow.metrics import eps_inf
 from hybridflow.solver import (SOLVER, SolverSettings, power_mismatch,
                                solve_newton_raphson)
 from tests.oracles import mode_labels, solve_gauss_seidel
@@ -159,16 +159,14 @@ def test_criterion_3_clustering():
 def test_criterion_4_metric_examples():
     v = np.array([1.0, 0.97])
     a = np.array([0.0, -0.02])
-    assert vector_error(v, a, v, a).eps_inf <= 1e-12
+    assert eps_inf(v, a, v, a) <= 1e-12
 
-    report_ = vector_error(np.array([1.01]), np.array([0.0]),
-                           np.array([1.0]), np.array([0.0]))
-    assert abs(report_.eps_inf - 0.01) <= 1e-12
+    got = eps_inf(np.array([1.01]), np.array([0.0]), np.array([1.0]), np.array([0.0]))
+    assert abs(got - 0.01) <= 1e-12
 
     for theta in (0.01, 0.1):
         chord = abs(np.exp(1j * theta) - 1.0)
-        got = vector_error(np.array([1.0]), np.array([theta]),
-                           np.array([1.0]), np.array([0.0])).eps_inf
+        got = eps_inf(np.array([1.0]), np.array([theta]), np.array([1.0]), np.array([0.0]))
         assert abs(got - chord) <= 1e-12
     print("\nACCEPTANCE 4: PASS - identity, magnitude, chord-length examples "
           "at 1e-12 absolute")
@@ -224,7 +222,8 @@ def test_criterion_7_tuning_monotonicity(full_study_parts, settings):
     ]
     for parameter, values, values2 in grids:
         spec = tuning.SweepSpec(parameter=parameter, values=values, values2=values2)
-        results = tuning.sweep(spec, model, network, series, settings)
+        results = tuning.sweep(spec, model, network, series, test_set.steps_per_day,
+                               settings)
         fractions = [r.model_fraction for r in results]
         assert fractions == sorted(fractions), (parameter, fractions)
     print("\nACCEPTANCE 7: PASS - model-use fraction non-decreasing in all "

@@ -354,15 +354,15 @@ output_dir: {out}
 """
 
 
-def test_tune_on_a_one_row_test_set_is_one_line_error(tmp_path, capsys):
+def test_tune_on_a_one_row_test_set_writes_one_sweep_row(tmp_path):
+    # the calibration day is sliced with the dataset's resolution, not the test set's
     config = tmp_path / "run.yaml"
     config.write_text(ONE_ROW_TEST_SET.format(out=tmp_path / "out"))
-    for stage in (["generate"], ["train"], ["simulate"]):
+    for stage in (["generate"], ["train"], ["simulate"],
+                  ["tune", "--parameter", "step_change", "--values", "0.2"]):
         assert main(["--config", str(config), *stage]) == 0
-    capsys.readouterr()
-    assert main(["--config", str(config), "tune", "--parameter", "step_change",
-                 "--values", "0.2"]) == 1
-    assert _one_error_line(capsys) == "error: cannot infer resolution from fewer than 2 rows"
+    rows = (tmp_path / "out" / "sweep_step_change.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("step_change,0.20000000000000001,,")
 
 
 def test_cli_import_leaves_scipy_out():

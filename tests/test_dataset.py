@@ -63,6 +63,14 @@ def test_split_too_short():
         split(data, SplitSpec(drop_days=3, train_days=7, test_days=18))
 
 
+def test_steps_per_day_needs_a_step_that_divides_a_day():
+    assert make_data(step_minutes=15).steps_per_day == 96
+    with pytest.raises(DatasetError, match="step of 420 s does not divide one day"):
+        make_data(step_minutes=7).steps_per_day
+    with pytest.raises(DatasetError, match="fewer than 2 rows"):
+        make_data(T=1).steps_per_day
+
+
 def test_round_trip_identity(tmp_path):
     data = make_data(T=50, seed=3)
     loaded = read_csv(written(data, tmp_path / "d.csv"))
@@ -154,7 +162,7 @@ def _nat(data):
     (lambda d: _nat(d.rows(0, 1)), "d.csv:2: bad timestamp 'NaTZ'"),
     (lambda d: _set(d, "timestamps", 3, d.timestamps[2]), "d.csv:5: non-monotone timestamp"),
     (lambda d: _set(d, "timestamps", 3, d.timestamps[3] + np.timedelta64(1, "s")),
-     "timestamps not uniformly spaced"),
+     "d.csv:5: timestamps not uniformly spaced"),
     (lambda d: Dataset(d.timestamps.astype("datetime64[ms]"), d.inputs.astype(np.float32),
                        d.outputs_v, d.outputs_a), None),
 ], ids=["plain", "nan", "first_bad_column_of_first_bad_row", "negative_zero", "subnormal",

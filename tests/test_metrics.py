@@ -3,26 +3,24 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from hybridflow.metrics import MetricError, eps_inf, vector_error
+from hybridflow.metrics import MetricError, eps_inf
 
 
 def test_identity_is_zero():
     v = np.array([1.0, 0.98, 1.02])
     a = np.array([0.0, -0.01, 0.02])
-    report = vector_error(v, a, v, a)
-    assert np.all(report.per_bus == 0.0)
-    assert report.eps_inf == 0.0
+    assert eps_inf(v, a, v, a) == 0.0
 
 
 def test_pure_magnitude_perturbation():
     true_v = np.array([1.0, 1.0, 1.0])
     true_a = np.zeros(3)
     pred_v = np.array([1.0, 1.01, 1.0])
-    report = vector_error(pred_v, true_a, true_v, true_a)
-    assert report.per_bus[1] == pytest.approx(0.01, abs=1e-12)
-    assert report.per_bus[0] == 0.0 and report.per_bus[2] == 0.0
-    assert report.eps_inf == pytest.approx(0.01, abs=1e-12)
-    assert report.worst_bus == 1
+    errors = [eps_inf(pred_v[i:i + 1], true_a[i:i + 1], true_v[i:i + 1], true_a[i:i + 1])
+              for i in range(3)]
+    assert errors[1] == pytest.approx(0.01, abs=1e-12)
+    assert errors[0] == 0.0 and errors[2] == 0.0
+    assert eps_inf(pred_v, true_a, true_v, true_a) == errors[1]
 
 
 @pytest.mark.parametrize("theta", [0.01, 0.1])
@@ -30,26 +28,23 @@ def test_pure_angle_perturbation_chord_length(theta):
     # |e^{i theta} - 1| = 2 sin(theta / 2); cross-checked in the complex plane
     chord = abs(np.exp(1j * theta) - 1.0)
     assert chord == pytest.approx(2.0 * np.sin(theta / 2.0), abs=1e-15)
-    report = vector_error(np.array([1.0]), np.array([theta]),
-                          np.array([1.0]), np.array([0.0]))
-    assert report.eps_inf == pytest.approx(chord, abs=1e-12)
+    got = eps_inf(np.array([1.0]), np.array([theta]), np.array([1.0]), np.array([0.0]))
+    assert got == pytest.approx(chord, abs=1e-12)
 
 
 def test_zero_norm_truth_uses_absolute_error():
-    report = vector_error(np.array([0.05]), np.array([0.3]),
-                          np.array([0.0]), np.array([0.0]))
-    assert report.eps_inf == pytest.approx(0.05, abs=1e-15)
+    got = eps_inf(np.array([0.05]), np.array([0.3]), np.array([0.0]), np.array([0.0]))
+    assert got == pytest.approx(0.05, abs=1e-15)
 
 
 def test_nan_rejected():
     with pytest.raises(MetricError):
-        vector_error(np.array([np.nan]), np.array([0.0]),
-                     np.array([1.0]), np.array([0.0]))
+        eps_inf(np.array([np.nan]), np.array([0.0]), np.array([1.0]), np.array([0.0]))
 
 
 def test_shape_mismatch_rejected():
     with pytest.raises(MetricError):
-        vector_error(np.ones(2), np.zeros(2), np.ones(3), np.zeros(3))
+        eps_inf(np.ones(2), np.zeros(2), np.ones(3), np.zeros(3))
 
 
 @hyp_settings(max_examples=50, deadline=None)
@@ -70,23 +65,19 @@ def test_eps_inf_attains_max_at_worst_bus():
     true_a = 0.02 * rng.standard_normal(10)
     pred_v = true_v + 0.005 * rng.standard_normal(10)
     pred_a = true_a + 0.005 * rng.standard_normal(10)
-    report = vector_error(pred_v, pred_a, true_v, true_a)
-    assert report.eps_inf == report.per_bus.max()
-    assert report.per_bus[report.worst_bus] == report.eps_inf
-    assert np.all(report.eps_inf >= report.per_bus)
+    per_bus = [eps_inf(pred_v[i:i + 1], pred_a[i:i + 1], true_v[i:i + 1], true_a[i:i + 1])
+               for i in range(10)]
+    assert eps_inf(pred_v, pred_a, true_v, true_a) == max(per_bus)
 
 
 def test_batch_reduces_over_last_axis():
     rng = np.random.default_rng(4)
     pred_v, true_v = rng.uniform(0.9, 1.1, (2, 6, 5))
     pred_a, true_a = rng.uniform(-0.2, 0.2, (2, 6, 5))
-    report = vector_error(pred_v, pred_a, true_v, true_a)
-    assert report.eps_inf.shape == report.worst_bus.shape == (6,)
+    batch = eps_inf(pred_v, pred_a, true_v, true_a)
+    assert batch.shape == (6,)
     for t in range(6):
-        row = vector_error(pred_v[t], pred_a[t], true_v[t], true_a[t])
-        assert report.eps_inf[t] == row.eps_inf
-        assert report.worst_bus[t] == row.worst_bus
-    assert np.array_equal(eps_inf(pred_v, pred_a, true_v, true_a), report.eps_inf)
+        assert batch[t] == eps_inf(pred_v[t], pred_a[t], true_v[t], true_a[t])
 
 
 def test_batch_nan_names_first_row():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hybridflow.netmodel import (Bus, Line, NetworkStructureError,
                                  NetworkValidationError, build_admittance,
-                                 load_network, make_network, save_network, validate)
+                                 load_network, make_network, save_network)
 
 
 def two_bus():
@@ -58,23 +58,19 @@ def test_disconnected_rejected():
         build_admittance(buses, [Line(0, 1, 0.0, 0.1)])
 
 
-def test_validate_clean_network(net4):
-    assert validate(net4) == []
-
-
 def test_validate_duplicate_slack():
-    net = make_network(two_bus(), [Line(0, 1, 0.01, 0.05)])
-    net.buses = [Bus(0, "slack"), Bus(1, "slack")]
-    violations = validate(net)
-    assert any("slack" in v for v in violations)
+    with pytest.raises(NetworkValidationError,
+                       match=r"expected exactly one slack bus, found \[0, 1\]"):
+        make_network([Bus(0, "slack"), Bus(1, "slack")], [Line(0, 1, 0.01, 0.05)])
 
 
-def test_validate_isolated_bus():
-    net = make_network(two_bus(), [Line(0, 1, 0.01, 0.05)])
-    net.buses = net.buses + [Bus(2, "pq")]
-    net.lines = list(net.lines)
-    violations = validate(net)
-    assert any("unreachable" in v for v in violations)
+@pytest.mark.parametrize("bus, message", [
+    (Bus(1, "pv", load_attachment=0), "bus 1 has unknown kind 'pv'"),
+    (Bus(1, "pq", load_attachment=1), r"load attachments not contiguous 0..0: \[1\]"),
+], ids=["unknown_kind", "gap_in_load_attachments"])
+def test_make_network_rejects_bad_buses(bus, message):
+    with pytest.raises(NetworkValidationError, match=message):
+        make_network([Bus(0, "slack"), bus], [Line(0, 1, 0.01, 0.05)])
 
 
 @hyp_settings(max_examples=25, deadline=None)
@@ -112,7 +108,7 @@ def test_file_round_trip(tmp_path, net4):
 
 
 def test_bundled_networks_valid(net4, feeder30):
-    assert validate(net4) == []
-    assert validate(feeder30) == []
+    # the fixtures load through `make_network`, which raises on an invalid network
+    assert net4.slack_index == feeder30.slack_index == 0
     assert feeder30.n_bus >= 25
     assert feeder30.n_loads == feeder30.n_bus - 1

@@ -3,11 +3,12 @@ import pytest
 
 from hybridflow import surrogate as sg
 from hybridflow.hybrid import HybridConfig, run_pure_solver, run_series
-from hybridflow.loadgen import LoadSeries
 from hybridflow.report import step_errors
 from hybridflow.tuning import (ERROR_GRID, ERROR_THRESHOLD, STEP_CHANGE,
                                SweepSpec, TuningError, config_for, recommend,
                                sweep, write_sweep)
+
+PER_DAY = 96  # the small fixture's 15-minute steps
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def test_2d_grid_rejects_an_interval_that_is_not_a_whole_number(value2):
 
 def test_single_point_equals_direct_run(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.05])
-    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
     assert len(results) == 1
 
     series = test_slice.rows(0, test_slice.steps_per_day).series()
@@ -71,7 +72,7 @@ def test_single_point_equals_direct_run(trained, feeder30, test_slice, settings)
 
 def test_step_change_zero_grid_point(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.0, 0.5])
-    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
     zero = results[0]
     assert zero.model_fraction == 0.0
     assert zero.max_eps == 0.0
@@ -79,7 +80,7 @@ def test_step_change_zero_grid_point(trained, feeder30, test_slice, settings):
 
 def test_quantiles_ordered(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_THRESHOLD, values=[1e-6, 1e-4, 1e-2])
-    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
     for r in results:
         assert r.q25 <= r.q50 <= r.q75 <= r.max_eps
         assert 0.0 <= r.model_fraction <= 1.0
@@ -88,7 +89,7 @@ def test_quantiles_ordered(trained, feeder30, test_slice, settings):
 def test_2d_grid_monotone(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_GRID, values=[1e-7, 1e-4, 1e-1],
                      values2=[4, 8, 16])
-    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
     frac = {(r.value, r.value2): r.model_fraction for r in results}
     for v2 in spec.values2:
         fractions = [frac[(v, v2)] for v in spec.values]
@@ -101,15 +102,15 @@ def test_2d_grid_monotone(trained, feeder30, test_slice, settings):
 def test_sweep_deterministic(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.01, 0.2])
     series = test_slice.series()
-    r1 = sweep(spec, trained, feeder30, series, settings)
-    r2 = sweep(spec, trained, feeder30, series, settings)
+    r1 = sweep(spec, trained, feeder30, series, PER_DAY, settings)
+    r2 = sweep(spec, trained, feeder30, series, PER_DAY, settings)
     assert [(a.q50, a.max_eps, a.model_fraction) for a in r1] \
         == [(b.q50, b.max_eps, b.model_fraction) for b in r2]
 
 
 def test_recommend_picks_highest_model_use(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_THRESHOLD, values=[1e-7, 1e-4, 1e-2])
-    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
     best = recommend(results, max_error_budget=1.0)
     assert best is not None
     assert best.model_fraction == max(r.model_fraction for r in results)
@@ -118,13 +119,13 @@ def test_recommend_picks_highest_model_use(trained, feeder30, test_slice, settin
 
 def test_recommend_infeasible_budget(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=ERROR_THRESHOLD, values=[1e-2])
-    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
     assert recommend(results, max_error_budget=0.0) is None
 
 
 def test_recommend_never_violates_budget(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.0, 0.01, 0.2])
-    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
     budget = np.median([r.max_eps for r in results])
     best = recommend(results, budget)
     if best is not None:
@@ -134,22 +135,12 @@ def test_recommend_never_violates_budget(trained, feeder30, test_slice, settings
 def test_calibration_slice_out_of_range(trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.1], calibration_days=(0, 99))
     with pytest.raises(TuningError, match="outside"):
-        sweep(spec, trained, feeder30, test_slice.series(), settings)
-
-
-def test_step_that_does_not_divide_a_day_rejected(trained, feeder30, test_slice,
-                                                  settings):
-    loads = test_slice.series()
-    stamps = loads.timestamps[0] + np.arange(loads.n_steps) * np.timedelta64(7 * 60, "s")
-    series = LoadSeries(timestamps=stamps, P=loads.P, Q=loads.Q)
-    spec = SweepSpec(parameter=STEP_CHANGE, values=[0.1])
-    with pytest.raises(TuningError, match="step of 420 s does not divide one day"):
-        sweep(spec, trained, feeder30, series, settings)
+        sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
 
 
 def test_write_sweep_csv(tmp_path, trained, feeder30, test_slice, settings):
     spec = SweepSpec(parameter=STEP_CHANGE, values=[0.05, 0.2])
-    results = sweep(spec, trained, feeder30, test_slice.series(), settings)
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
     path = tmp_path / "sweep.csv"
     write_sweep(results, path)
     lines = path.read_text().strip().splitlines()
