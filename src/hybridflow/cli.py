@@ -21,7 +21,7 @@ def cmd_generate(config: RunConfig) -> None:
         raise ConfigError("generate requires a load_spec section")
     network = config.load_network()
     series = loadgen.generate(config.load_spec, network)
-    solutions = hybrid.run_pure_solver(network, series, config.solver)
+    solutions = hybrid.run_ground_truth(network, series, config.solver)
     data = ds.Dataset.from_solutions(series, solutions)
     out_path = config.resolve(config.dataset_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

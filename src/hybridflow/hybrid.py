@@ -7,6 +7,11 @@ the staleness cap is reached or the model's error at the last solve was
 over budget. Each solve is warm-started from the last accepted solution,
 reuses the run's inverted Jacobian (`solver.Chord`) and stores the model's
 error against it for the error check.
+
+Two loops solve every step: `run_pure_solver`, the sequential warm-started
+baseline the hybrid is timed against, and `run_ground_truth`, which solves
+`generate`'s rows in blocks of batched chord passes and certifies each row
+with one Newton call.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .metrics import MetricError, eps_inf
 from .netmodel import Network
 from .report import RunSummary, summarize
 from .solver import (MODEL, SOLVER, Chord, SingularJacobianError, SolverSettings,
-                     VoltageSolution, solve_newton_raphson)
+                     VoltageSolution, chord_blocks, solve_newton_raphson)
 
 # triggering_check values
 FORCED_FIRST = "forced_first"
@@ -198,9 +203,9 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
 
 def run_pure_solver(network: Network, load_series: LoadSeries,
                     settings: SolverSettings) -> list[VoltageSolution]:
-    """Ground-truth replay: solve every timestep, warm-starting from the
-    previous solution and its inverted Jacobian (flat full-Newton start on
-    the first)."""
+    """The sequential baseline the hybrid is timed against: solve every
+    timestep in order, warm-starting from the previous solution and its
+    inverted Jacobian (flat full-Newton start on the first)."""
     state = HybridState()
     solutions = []
     for t in range(load_series.n_steps):
@@ -213,12 +218,45 @@ def run_pure_solver(network: Network, load_series: LoadSeries,
     return solutions
 
 
+def run_ground_truth(network: Network, load_series: LoadSeries,
+                     settings: SolverSettings) -> list[VoltageSolution]:
+    """Every timestep's power flow, solved in row blocks of batched chord
+    passes (`solver.chord_blocks`), then certified one row at a time.
+
+    Each row gets exactly one `solve_newton_raphson` call, whose
+    convergence test is the only verdict. A row the batch converged starts
+    from its batch point and returns at iteration 0. Any other row runs full
+    Newton from the previous row's solution, or from the flat start on the
+    first row or when `settings.warm_start` is off.
+    """
+    P, Q = load_series.P, load_series.Q
+    solutions = []
+    for start, v, a, converged in chord_blocks(network, P, Q, settings):
+        for r, batch_converged in enumerate(converged.tolist()):
+            t = start + r
+            if batch_converged:
+                guess = VoltageSolution(v=v[r], a=a[r], iterations=0, converged=True)
+            else:
+                guess = solutions[-1] if solutions and settings.warm_start else None
+            try:
+                solutions.append(_converged(network, P[t], Q[t], guess, settings))
+            except (SimulationError, SingularJacobianError) as exc:
+                raise SimulationError(f"{exc} at {load_series.timestamps[t]} (row {t})") from None
+    return solutions
+
+
 def _solve(state: HybridState, network: Network, p: np.ndarray, q: np.ndarray,
            settings: SolverSettings) -> VoltageSolution:
     """A converged solve, warm-started from `state`'s last accepted solution
     and inverted Jacobian when `settings.warm_start` is on."""
-    guess, chord = ((state.last_accepted, state.chord) if settings.warm_start
-                    else (None, None))
+    if settings.warm_start:
+        return _converged(network, p, q, state.last_accepted, settings, state.chord)
+    return _converged(network, p, q, None, settings)
+
+
+def _converged(network: Network, p: np.ndarray, q: np.ndarray,
+               guess: VoltageSolution | None, settings: SolverSettings,
+               chord: Chord | None = None) -> VoltageSolution:
     solution = solve_newton_raphson(network, p, q, guess, settings, chord)
     if not solution.converged:
         raise SimulationError(f"solver did not converge "

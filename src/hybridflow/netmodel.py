@@ -84,6 +84,17 @@ class Network:
                           if b.load_attachment is not None)
         return _frozen([bus_id for _, bus_id in attached])
 
+    @cached_property
+    def pq_target_index(self) -> np.ndarray:
+        """Indices into the stacked [p, q, 0] of length 2*n_loads + 1 that
+        give [p, q] at the pq buses: a pq bus with no load reads the 0, and
+        a load on the slack bus is left out (the slack takes it up)."""
+        load_of = {bus: k for k, bus in enumerate(self.load_buses.tolist())}
+        zero = 2 * self.n_loads
+        p_index = [load_of.get(bus, zero) for bus in self.pq_indices.tolist()]
+        return _frozen(p_index + [zero if k == zero else self.n_loads + k
+                                  for k in p_index])
+
     @property
     def n_loads(self) -> int:
         return len(self.load_buses)

@@ -8,10 +8,24 @@ import numpy as np
 from hybridflow.dataset import Dataset
 from hybridflow.loadgen import LoadProfileSpec, minute_of_week, mode_table
 from hybridflow.netmodel import Network
-from hybridflow.solver import SolverSettings, VoltageSolution, injections
+from hybridflow.solver import SolverSettings, VoltageSolution
 
 GS_MAX_SWEEPS = 20000
 GS_ACCELERATION = 1.6  # SOR factor; 1.0 recovers plain Gauss-Seidel
+
+
+def injections(network: Network, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-bus net injection vectors from load-vector consumption."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != (network.n_loads,) or q.shape != (network.n_loads,):
+        raise ValueError(f"expected load vectors of length {network.n_loads}, "
+                         f"got {p.shape} and {q.shape}")
+    p_inj = np.zeros(network.n_bus)
+    q_inj = np.zeros(network.n_bus)
+    p_inj[network.load_buses] = -p
+    q_inj[network.load_buses] = -q
+    return p_inj, q_inj
 
 
 def solve_gauss_seidel(network: Network, p: np.ndarray, q: np.ndarray,

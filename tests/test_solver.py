@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hybridflow import solver
+from hybridflow import loadgen, solver
 from hybridflow.hybrid import (HybridConfig, HybridState, SimulationError,
-                              run_pure_solver, step)
+                              run_ground_truth, run_pure_solver, step)
 from hybridflow.loadgen import LoadSeries
 from hybridflow.netmodel import PQ, SLACK, Bus, Line, make_network
 from hybridflow.solver import (Chord, SingularJacobianError, SolverSettings, _jacobian,
@@ -295,3 +296,133 @@ def test_cold_starts_carry_no_inverse(feeder30, small_series):
                                 HybridConfig(), settings)
         assert record.decision == "solver"
     assert state.chord.inverse is None and state.chord.inversions == 0
+
+
+def load_events(series):
+    """Rows 56:96 of `series` (into the evening peak) at twice their loads,
+    with three events: x3 loads at rows 8-13, every other load dropped to
+    zero at rows 18-23 and three loads injecting 0.03 pu (PV-like) at rows
+    28-33. The x3 rows come near the nose of the PV curve (lowest voltage
+    0.64 pu), and the batched passes leave some of them unconverged."""
+    P, Q = 2.0 * series.P[56:96], 2.0 * series.Q[56:96]
+    P[8:14] *= 3.0
+    Q[8:14] *= 3.0
+    P[18:24, ::2] = Q[18:24, ::2] = 0.0
+    P[28:34, [3, 11, 20]] = -0.03
+    Q[28:34, [3, 11, 20]] = 0.0
+    return LoadSeries(timestamps=series.timestamps[56:96], P=P, Q=Q)
+
+
+@pytest.mark.parametrize("events", [False, True], ids=["small_series", "load_events"])
+def test_ground_truth_matches_the_sequential_replay(feeder30, small_series, settings,
+                                                    events):
+    series = load_events(small_series) if events else small_series
+    truth = run_ground_truth(feeder30, series, settings)
+    replay = run_pure_solver(feeder30, series, settings)
+    assert len(truth) == series.n_steps
+    for t, (x, y) in enumerate(zip(truth, replay)):
+        assert x.converged, t
+        residual = power_mismatch(feeder30, series.P[t], series.Q[t], x.v, x.a)
+        assert np.max(np.abs(residual)) <= settings.mismatch_tolerance, t
+        assert np.max(np.abs(x.v - y.v)) < 1e-7, t
+        assert np.max(np.abs(x.a - y.a)) < 1e-7, t
+    batch_converged = np.concatenate([c for *_, c in solver.chord_blocks(
+        feeder30, series.P, series.Q, settings)])
+    iterations = np.array([x.iterations for x in truth])
+    assert (iterations[batch_converged] == 0).all()  # certified where they stand
+    assert (iterations[~batch_converged] > 0).all()  # full Newton from row t-1
+    assert (~batch_converged).any() == events
+
+
+def test_ground_truth_cold_fallback_starts_flat(feeder30, small_series):
+    settings = SolverSettings(warm_start=False)
+    series = load_events(small_series)
+    truth = run_ground_truth(feeder30, series, settings)
+    stalled = [t for t, x in enumerate(truth) if x.iterations > 0]
+    assert stalled
+    for t in stalled:
+        direct = solve_newton_raphson(feeder30, series.P[t], series.Q[t], None, settings)
+        assert np.array_equal(truth[t].v, direct.v) and np.array_equal(truth[t].a, direct.a)
+        assert truth[t].iterations == direct.iterations
+
+
+def test_flat_start_pass_need_not_halve_the_mismatch(feeder30, small_series, settings):
+    # at 4x the evening ramp, pass 1 on the flat-start inverse shrinks 28 of
+    # these 40 rows' worst mismatch by less than half (as it grows most rows'
+    # at 1000 buses); the passes on the mean-point inverse converge them all
+    P, Q = 4.0 * small_series.P[56:96], 4.0 * small_series.Q[56:96]
+    (_, _, _, converged), = solver.chord_blocks(feeder30, P, Q, settings)
+    assert converged.all()
+
+
+def test_singular_jacobian_in_certification_names_the_row(feeder30, small_series,
+                                                          settings, monkeypatch):
+    series = load_events(small_series)  # one block: its passes come first
+    stalled = [t for t, x in enumerate(run_ground_truth(feeder30, series, settings))
+               if x.iterations > 0]
+    built = []
+    real = solver._jacobian
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_jacobian", counting)
+    list(solver.chord_blocks(feeder30, series.P, series.Q, settings))
+    batch = len(built)
+    built.clear()
+
+    def singular_after_batch(*args):
+        J = counting(*args)
+        return J if len(built) <= batch else np.zeros_like(J)
+
+    monkeypatch.setattr(solver, "_jacobian", singular_after_batch)
+    stamp = np.datetime_as_string(series.timestamps[stalled[0]], unit="s")
+    with pytest.raises(SimulationError, match=rf"^singular Jacobian at Newton iteration 0 "
+                                              rf"at {stamp} \(row {stalled[0]}\)$"):
+        run_ground_truth(feeder30, series, settings)
+
+
+@pytest.mark.parametrize("singular_build", [1, 2], ids=["flat_start", "first_mean_point"])
+def test_singular_block_jacobian_falls_through_to_certification(
+        feeder30, small_series, settings, monkeypatch, singular_build):
+    replay = run_pure_solver(feeder30, small_series, settings)
+    built = []
+    real = solver._jacobian
+
+    def singular_once(*args):
+        built.append(args)
+        J = real(*args)
+        return np.zeros_like(J) if len(built) == singular_build else J
+
+    monkeypatch.setattr(solver, "_jacobian", singular_once)
+    truth = run_ground_truth(feeder30, small_series, settings)
+    # the flat-start inverse serves every block; a mean point, one block
+    stalled_rows = small_series.n_steps if singular_build == 1 else solver.BLOCK_ROWS
+    assert small_series.n_steps > solver.BLOCK_ROWS
+    iterations = np.array([x.iterations for x in truth])
+    assert (iterations[:stalled_rows] > 0).all() and (iterations[stalled_rows:] == 0).all()
+    for t, (x, y) in enumerate(zip(truth, replay)):
+        assert np.max(np.abs(x.v - y.v)) < 1e-7, t
+        assert np.max(np.abs(x.a - y.a)) < 1e-7, t
+
+
+def test_chord_block_memory_is_bounded_by_the_block(feeder30, settings):
+    # the full study's 28 days at 5 minutes; one pass over all 8,064 rows
+    # at once peaks at 36 MiB of numpy memory
+    spec = loadgen.LoadProfileSpec(n_loads=feeder30.n_loads, resolution_minutes=5,
+                                   duration_days=28, seed=11)
+    series = loadgen.generate(spec, feeder30)
+    assert series.n_steps == 8064
+    rows = 0
+    tracemalloc.start()
+    try:
+        for start, v, a, converged in solver.chord_blocks(feeder30, series.P, series.Q,
+                                                          settings):
+            assert start == rows and len(converged) <= solver.BLOCK_ROWS
+            rows += len(converged)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == series.n_steps
+    assert peak < 6 * 2 ** 20
