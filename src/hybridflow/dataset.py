@@ -11,7 +11,8 @@ sha256.
 `read_csv` reads the archive only: the CSV is a write-only export, and
 reading checks only that its digest still matches. An edited CSV (cited
 by its first edited line), or an absent or damaged archive, is an error
-naming the file, with no fallback.
+naming the file, with no fallback. `write_archive` and `read_archive`
+are the one `.npz` codec, which the surrogate model file shares.
 """
 
 from __future__ import annotations
@@ -55,21 +56,6 @@ class Dataset:
     @property
     def n_voltages(self) -> int:
         return self.outputs_v.shape[1]
-
-    def __post_init__(self):
-        T = len(self.timestamps)
-        for name in ("inputs", "outputs_v", "outputs_a"):
-            arr = getattr(self, name)
-            if arr.shape[0] != T:
-                raise DatasetError(f"{name} has {arr.shape[0]} rows, expected {T}")
-        if self.outputs_a.shape != self.outputs_v.shape:
-            raise DatasetError("outputs_v and outputs_a shapes differ")
-        if T > 1:
-            deltas = np.diff(self.timestamps.astype("datetime64[s]").astype(np.int64))
-            if (deltas <= 0).any():
-                raise DatasetError("timestamps not strictly increasing")
-            if (deltas != deltas[0]).any():
-                raise DatasetError("timestamps not uniformly spaced")
 
     @property
     def steps_per_day(self) -> int:
@@ -158,12 +144,45 @@ def write_csv(dataset: Dataset, path) -> None:
         for chunk in _csv_chunks(ts, dataset.inputs, dataset.outputs_v, dataset.outputs_a):
             digest.update(chunk)
             f.write(chunk)
-    # a handle, since np.savez appends .npz to a name; float64, as `read_csv` requires
-    with open(_archive_path(path), "wb") as f:
-        np.savez(f, format=np.array(ARCHIVE_FORMAT), version=np.array(ARCHIVE_VERSION),
-                 csv_sha256=np.array(digest.hexdigest()), timestamps=ts.astype(np.int64),
-                 **{name: np.asarray(getattr(dataset, name), dtype=np.float64)
-                    for name in ARCHIVE_ARRAYS[1:]})
+    # float64, as `read_csv` requires
+    write_archive(_archive_path(path), ARCHIVE_FORMAT, ARCHIVE_VERSION,
+                  csv_sha256=np.array(digest.hexdigest()), timestamps=ts.astype(np.int64),
+                  **{name: np.asarray(getattr(dataset, name), dtype=np.float64)
+                     for name in ARCHIVE_ARRAYS[1:]})
+
+
+def write_archive(path, kind: str, version: int, **arrays) -> None:
+    """An uncompressed .npz archive at exactly `path`: 0-d `format` (`kind`)
+    and `version` entries, then `arrays` in order. numpy stamps every entry
+    with one fixed date, so the same arrays give the same bytes."""
+    with open(path, "wb") as f:  # a handle: numpy appends .npz to a name
+        np.savez(f, format=np.array(kind), version=np.array(version), **arrays)
+
+
+def read_archive(path, kind: str, version: int, names, error, fix: str) -> list:
+    """The arrays `names` of the `write_archive` archive at `path`, which
+    must be of format `kind` and `version`. Every failure raises `error`
+    with one line naming the file and ending in `; fix`."""
+    try:
+        with open(path, "rb") as f:
+            if f.read(4) != b"PK\x03\x04":  # the zip magic that opens every .npz
+                raise zipfile.BadZipFile("File is not a zip file")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as npz:
+                entries = dict(npz)
+    except FileNotFoundError as exc:
+        raise error(f"{exc.filename}: no such file; {fix}") from None
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise error(f"{path}: unreadable archive ({' '.join(str(exc).split())}); "
+                    f"{fix}") from None
+    for name in ("format", "version", *names):
+        if name not in entries:
+            raise error(f"{path}: missing entry {name!r}; {fix}")
+    found = entries["format"].tolist(), entries["version"].tolist()
+    if found != (kind, version):
+        raise error(f"{path}: {found[0]!r} version {found[1]!r}, not "
+                    f"{kind!r} version {version}; {fix}")
+    return [entries[name] for name in names]
 
 
 def _csv_chunks(ts, inputs, outputs_v, outputs_a):
@@ -285,40 +304,26 @@ def read_csv(path) -> Dataset:
 def _read_archive(path) -> list:
     """The timestamps and value arrays of the archive beside `path`."""
     archive = _archive_path(path)
-    rerun = "; rerun generate"
-    try:
-        with open(archive, "rb") as f:
-            if f.read(4) != b"PK\x03\x04":  # the zip magic that opens every .npz
-                raise zipfile.BadZipFile("File is not a zip file")
-            f.seek(0)
-            with np.load(f, allow_pickle=False) as npz:
-                entries = dict(npz)
-        digest = _sha256(path)
-    except FileNotFoundError as exc:
-        raise DatasetError(f"{exc.filename}: no such file{rerun}") from None
-    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise DatasetError(f"{archive}: unreadable archive "
-                           f"({' '.join(str(exc).split())}){rerun}") from None
-    for name in ("format", "version", "csv_sha256", *ARCHIVE_ARRAYS):
-        if name not in entries:
-            raise DatasetError(f"{archive}: missing entry {name!r}{rerun}")
-    kind = entries["format"].tolist(), entries["version"].tolist()
-    if kind != (ARCHIVE_FORMAT, ARCHIVE_VERSION):
-        raise DatasetError(f"{archive}: {kind[0]!r} version {kind[1]!r}, not "
-                           f"{ARCHIVE_FORMAT!r} version {ARCHIVE_VERSION}{rerun}")
-    ts, inputs, outputs_v, outputs_a = arrays = [entries[name] for name in ARCHIVE_ARRAYS]
+    rerun = "rerun generate"
+    csv_sha256, *arrays = read_archive(archive, ARCHIVE_FORMAT, ARCHIVE_VERSION,
+                                       ("csv_sha256", *ARCHIVE_ARRAYS), DatasetError, rerun)
+    ts, inputs, outputs_v, outputs_a = arrays
     if not (ts.ndim == 1 and ts.dtype == np.int64
             and all(a.ndim == 2 and len(a) == len(ts) and a.dtype == np.float64
                     for a in arrays[1:])
             and inputs.shape[1] % 2 == 0 and outputs_v.shape == outputs_a.shape):
         shapes = ", ".join(f"{name} {a.dtype}{list(a.shape)}"
                            for name, a in zip(ARCHIVE_ARRAYS, arrays))
-        raise DatasetError(f"{archive}: arrays {shapes} do not form a dataset{rerun}")
+        raise DatasetError(f"{archive}: arrays {shapes} do not form a dataset; {rerun}")
     arrays = [ts.astype("datetime64[s]"), inputs, outputs_v, outputs_a]
-    if entries["csv_sha256"].tolist() != digest:
+    try:
+        digest = _sha256(path)
+    except FileNotFoundError:
+        raise DatasetError(f"{path}: no such file; {rerun}") from None
+    if csv_sha256.tolist() != digest:
         line = _first_edited_line(path, arrays)
         raise DatasetError(f"{path}{f':{line}' if line else ''}: sha256 does not match its "
-                           f"archive (CSV edited, or archive of another file){rerun}")
+                           f"archive (CSV edited, or archive of another file); {rerun}")
     return arrays
 
 

@@ -29,7 +29,7 @@ from .dataset import parse_timestamp
 from .loadgen import LoadSeries
 from .metrics import MetricError, eps_inf
 from .netmodel import Network
-from .report import RunSummary, summarize
+from .report import RunSummary, summarize, write_table
 from .solver import (MODEL, SOLVER, Chord, SingularJacobianError, SolverSettings,
                      VoltageSolution, chord_blocks, solve_newton_raphson)
 
@@ -273,18 +273,9 @@ def write_records(records: list[StepRecord], path) -> None:
     byte-identical."""
     stamps = np.datetime_as_string(np.array([r.timestamp for r in records],
                                             dtype="datetime64[s]"), unit="s").tolist()
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(RECORD_HEADER)
-        for stamp, r in zip(stamps, records):
-            writer.writerow([
-                stamp + "Z",
-                r.decision,
-                r.triggering_check or "",
-                "" if r.model_eps_inf_vs_truth is None
-                else f"{r.model_eps_inf_vs_truth:.17g}",
-                "" if r.solver_iterations is None else r.solver_iterations,
-            ])
+    write_table(path, RECORD_HEADER,
+                ([stamp + "Z", r.decision, r.triggering_check, r.model_eps_inf_vs_truth,
+                  r.solver_iterations] for stamp, r in zip(stamps, records)))
 
 
 def read_records(path) -> list[StepRecord]:

@@ -82,10 +82,18 @@ def validate_spec(spec: LoadProfileSpec) -> None:
         raise LoadSpecError("duration_days must be >= 1")
     if spec.n_loads < 1:
         raise LoadSpecError("n_loads must be >= 1")
+    if spec.resolution_minutes < 1:
+        raise LoadSpecError(f"resolution_minutes must be >= 1, got {spec.resolution_minutes}")
     if MINUTES_PER_DAY % spec.resolution_minutes != 0:
         raise LoadSpecError(f"resolution {spec.resolution_minutes} min does not divide 1440")
     if not (0.0 < spec.min_power_factor <= 1.0):
         raise LoadSpecError("min_power_factor must be in (0, 1]")
+    if not np.isfinite(spec.noise_scale):
+        raise LoadSpecError(f"noise_scale must be finite, got {spec.noise_scale}")
+    for mode in spec.modes:  # written so that a NaN fails the comparison
+        if not 0.0 <= mode.level < np.inf:
+            raise LoadSpecError(f"mode {mode.name!r}: level must be finite and >= 0, "
+                                f"got {mode.level}")
 
 
 def mode_table(spec: LoadProfileSpec) -> np.ndarray:
@@ -120,7 +128,7 @@ def generate(spec: LoadProfileSpec, network: Network | None = None) -> LoadSerie
     """Generate a deterministic (seeded) load series for the spec.
 
     With `network`, the load count must match its load-attached buses;
-    `hybrid.run_pure_solver` checks that every timestamp is feasible.
+    `hybrid.run_ground_truth` checks that every timestamp is feasible.
     """
     validate_spec(spec)
     if network is not None and spec.n_loads != network.n_loads:

@@ -140,13 +140,21 @@ def _seconds(value: float | None) -> str:
     return "not recorded" if value is None else f"{value:.3f} s"
 
 
-def write_histogram(hist: Histogram, path) -> None:
+def write_table(path, header: list[str], rows) -> None:
+    """A small CSV (the csv module's excel dialect): the header, then one
+    line per row. A None cell is written empty, a float as `%.17g` (a
+    lossless round trip) and any other cell with str."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-            writer.writerow([f"{lo:.17g}", f"{hi:.17g}", int(c)])
-        writer.writerow(["clipped", "", hist.clipped_count])
+        writer = csv.writer(f)  # writes None empty and other cells with str
+        writer.writerow(header)
+        writer.writerows([f"{cell:.17g}" if isinstance(cell, float) else cell
+                          for cell in row] for row in rows)
+
+
+def write_histogram(hist: Histogram, path) -> None:
+    rows = [[lo, hi, int(c)] for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts)]
+    write_table(path, ["bin_lo", "bin_hi", "count"],
+                rows + [["clipped", None, hist.clipped_count]])
     meta = {"clipped_fraction": hist.clipped_fraction, "max_value": hist.max_value,
             "total": hist.total}
     with open(str(path) + ".meta.json", "w") as f:
@@ -158,14 +166,7 @@ def write_error_series(records: list[StepRecord], cluster_labels, path) -> None:
     """Per-step error time series with cluster labels, for error-vs-time plots."""
     if cluster_labels is not None and len(cluster_labels) != len(records):
         raise ReportError("cluster_labels length does not match records")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["timestamp", "decision", "eps_inf", "cluster"])
-        for i, r in enumerate(records):
-            writer.writerow([
-                format_timestamp(r.timestamp),
-                r.decision,
-                "" if r.model_eps_inf_vs_truth is None
-                else f"{r.model_eps_inf_vs_truth:.17g}",
-                "" if cluster_labels is None else int(cluster_labels[i]),
-            ])
+    write_table(path, ["timestamp", "decision", "eps_inf", "cluster"],
+                ([format_timestamp(r.timestamp), r.decision, r.model_eps_inf_vs_truth,
+                  None if cluster_labels is None else int(cluster_labels[i])]
+                 for i, r in enumerate(records)))

@@ -11,13 +11,11 @@ it with that cluster's map, and returns one `Evaluation` of arrays.
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, read_archive, write_archive
 from .loadgen import MINUTES_PER_DAY, minute_of_week
 
 KMEANS = "kmeans"
@@ -237,40 +235,24 @@ def save(surrogate: ClusteredSurrogate, path) -> None:
     """Serialize to a versioned, self-describing, uncompressed .npz archive.
     The ragged per-cluster training distances are stored as one flat array
     plus one length per cluster."""
-    with open(path, "wb") as f:  # a handle, since np.savez appends .npz to a name
-        np.savez(f, format=np.array(FORMAT_NAME), version=np.array(FORMAT_VERSION),
-                 method=np.array(surrogate.method), centers=surrogate.centers,
-                 coef=surrogate.coef, intercept=surrogate.intercept,
-                 input_mean=surrogate.input_mean, input_scale=surrogate.input_scale,
-                 train_distances=np.concatenate(surrogate.train_distances),
-                 train_sizes=np.array([len(d) for d in surrogate.train_distances],
-                                      dtype=np.int64))
+    write_archive(path, FORMAT_NAME, FORMAT_VERSION,
+                  method=np.array(surrogate.method), centers=surrogate.centers,
+                  coef=surrogate.coef, intercept=surrogate.intercept,
+                  input_mean=surrogate.input_mean, input_scale=surrogate.input_scale,
+                  train_distances=np.concatenate(surrogate.train_distances),
+                  train_sizes=np.array([len(d) for d in surrogate.train_distances],
+                                       dtype=np.int64))
 
 
 def load(path) -> ClusteredSurrogate:
-    with open(path, "rb") as f:
-        is_zip = f.read(4) == b"PK\x03\x04"  # the zip magic that opens every .npz
-        f.seek(0)
-        if not is_zip:
-            raise SurrogateError(f"{path}: {_not_an_archive(f)}")
-        try:
-            with np.load(f, allow_pickle=False) as archive:
-                fields = {name: np.asarray(archive[name]) for name in archive.files}
-        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-            raise SurrogateError(f"{path}: unreadable model archive: {exc}") from None
-    if fields.get("format", np.array("")).tolist() != FORMAT_NAME:
-        raise SurrogateError(f"{path}: not a surrogate model file")
-    version = fields.get("version", np.array(None)).tolist()
-    if version != FORMAT_VERSION:
-        raise SurrogateError(f"{path}: unsupported version {version}")
-    for name in ARCHIVE_ARRAYS:
-        if name not in fields:
-            raise SurrogateError(f"{path}: missing key '{name}'")
+    """The model `save` wrote at `path`; each failure is one SurrogateError naming it."""
+    fields = dict(zip(ARCHIVE_ARRAYS, read_archive(path, FORMAT_NAME, FORMAT_VERSION,
+                                                   ARCHIVE_ARRAYS, SurrogateError, "retrain")))
     flat, sizes, n_c = fields["train_distances"], fields["train_sizes"], len(fields["centers"])
     if (flat.ndim != 1 or sizes.ndim != 1 or sizes.dtype.kind not in "iu" or len(sizes) != n_c
             or (sizes < 0).any() or sizes.sum() != flat.size):
         raise SurrogateError(f"{path}: train_sizes {sizes.tolist()} do not split "
-                             f"{flat.size} train_distances into {n_c} clusters")
+                             f"{flat.size} train_distances into {n_c} clusters; retrain")
     train_distances = np.split(flat, np.cumsum(sizes)[:-1])
     for k, dists in enumerate(train_distances):
         if not len(dists):  # no fitted map behind it: a cluster must have training rows
@@ -280,15 +262,3 @@ def load(path) -> ClusteredSurrogate:
                               train_distances=train_distances,
                               input_mean=fields["input_mean"],
                               input_scale=fields["input_scale"])
-
-
-def _not_an_archive(f) -> str:
-    """Why a file that is not a zip archive cannot be loaded; a JSON model
-    written by format version 1 or 2 is named by its version."""
-    try:
-        doc = json.load(f)
-    except ValueError:  # JSON syntax, or bytes that are not text
-        doc = None
-    if isinstance(doc, dict) and doc.get("format") == FORMAT_NAME:
-        return f"unsupported version {doc.get('version')}"
-    return "not a surrogate model file (expected an .npz archive)"

@@ -7,7 +7,6 @@ as a CSV table of error quantiles and model-use fractions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .hybrid import HybridConfig, run_pure_solver, run_series
 from .loadgen import LoadSeries
 from .netmodel import Network
-from .report import step_errors
+from .report import step_errors, write_table
 from .solver import SolverSettings
 from .surrogate import ClusteredSurrogate
 
@@ -44,6 +43,9 @@ class SweepSpec:
             raise TuningError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise TuningError("sweep values must be non-empty")
+        lo, hi = self.calibration_days
+        if not 0 <= lo < hi:
+            raise TuningError(f"calibration_days {lo},{hi}: need 0 <= LO < HI")
         if self.parameter != ERROR_GRID and self.values2 is not None:
             raise TuningError(f"values2 applies only to {ERROR_GRID}, "
                               f"not to the 1-D sweep of {self.parameter!r}")
@@ -90,7 +92,7 @@ def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
     settings = settings or SolverSettings()
     lo = spec.calibration_days[0] * steps_per_day
     hi = spec.calibration_days[1] * steps_per_day
-    if hi > test_series.n_steps or lo >= hi:
+    if hi > test_series.n_steps:
         raise TuningError(f"calibration slice {spec.calibration_days} outside the "
                           f"test span of {test_series.n_steps // steps_per_day} days")
     series = LoadSeries(timestamps=test_series.timestamps[lo:hi],
@@ -131,15 +133,7 @@ def recommend(results: list[SweepPoint],
 
 
 def write_sweep(results: list[SweepPoint], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["parameter", "value", "value2", "q25", "q50", "q75",
-                        "max", "model_fraction", "extreme_flag"])
-        for r in results:
-            writer.writerow([
-                r.parameter, f"{r.value:.17g}",
-                "" if r.value2 is None else f"{r.value2:.17g}",
-                f"{r.q25:.17g}", f"{r.q50:.17g}", f"{r.q75:.17g}",
-                f"{r.max_eps:.17g}", f"{r.model_fraction:.17g}",
-                int(r.extreme),
-            ])
+    write_table(path, ["parameter", "value", "value2", "q25", "q50", "q75", "max",
+                       "model_fraction", "extreme_flag"],
+                ([r.parameter, r.value, r.value2, r.q25, r.q50, r.q75, r.max_eps,
+                  r.model_fraction, int(r.extreme)] for r in results))

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -193,7 +194,7 @@ def test_version_1_surrogate_is_one_line_error(workdir, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
-    assert lines[0].endswith("unsupported version 1")
+    assert lines[0].endswith(f"{v1}: unreadable archive (File is not a zip file); retrain")
 
 
 def _one_error_line(capsys) -> str:
@@ -245,8 +246,14 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
      ["simulate"]),
     ("network: feeder30", "network: {tmp}/net.yaml", {"net.yaml": BUS_WITHOUT_ID},
      ["simulate"]),
+    ("resolution_minutes: 30", "resolution_minutes: 0", {}, ["generate"]),
+    ("resolution_minutes: 30", "resolution_minutes: -5", {}, ["generate"]),
+    ("  seed: 5\n", "  seed: 5\n  noise_scale: .nan\n", {}, ["generate"]),
+    ("  seed: 5\n", "  seed: 5\n  base_level: -0.01\n", {}, ["generate"]),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
                   "--calibration-days", "0"]),
+    ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
+                  "--calibration-days=-1,1"]),
     ("", "", {"records.csv": RECORDS},
      ["report", "--records", "{tmp}/records.csv", "--bin-width", "0"]),
     ("", "", {"records.csv": SHORT_RECORD}, ["report", "--records", "{tmp}/records.csv"]),
@@ -257,8 +264,9 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
 ], ids=["interval_not_int", "interval_zero", "threshold_null", "threshold_nan",
         "step_change_negative", "step_change_nan", "distance_negative", "tolerance_nan",
         "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
-        "zero_impedance", "bus_without_id", "calibration_days", "bin_width_zero",
-        "records_short_row", "clip_inf", "bin_width_nan"])
+        "zero_impedance", "bus_without_id", "resolution_zero", "resolution_negative",
+        "noise_nan", "base_level_negative", "calibration_days", "calibration_days_negative",
+        "bin_width_zero", "records_short_row", "clip_inf", "bin_width_nan"])
 def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -287,7 +295,7 @@ def test_surrogate_missing_key_is_one_line_error(workdir, tmp_path, capsys):
                           f"model_file: {damaged}")
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),
                  "simulate"]) == 1
-    assert _one_error_line(capsys) == f"error: {damaged}: missing key 'coef'"
+    assert _one_error_line(capsys) == f"error: {damaged}: missing entry 'coef'; retrain"
 
 
 def test_surrogate_empty_cluster_is_one_line_error(workdir, tmp_path, capsys):
@@ -391,6 +399,23 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+def test_src_imports_only_stdlib_numpy_and_yaml():
+    # numpy and pyyaml are the only dependencies; importing scipy.sparse.linalg
+    # alone would add about 32 MiB to every run's peak RSS
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml"}
+    src = Path(__file__).resolve().parents[1] / "src" / "hybridflow"
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one
+                continue
+            outside = {name.split(".")[0] for name in names} - allowed
+            assert not outside, f"{path.name}:{node.lineno} imports {sorted(outside)}"
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from hybridflow import surrogate as sg
 from hybridflow.dataset import (BLOCK_CELLS, Dataset, DatasetError, SplitSpec,
                                 read_csv, split, write_csv)
+from hybridflow.surrogate import SurrogateError
 from tests.oracles import write_csv_rowwise
 
 
@@ -107,7 +109,7 @@ def test_nan_value_cites_row(tmp_path):
 
 def test_non_monotone_timestamps_rejected(tmp_path):
     data = make_data(T=2, n_p=1, n_v=1, step_minutes=5)
-    data.timestamps[:] = data.timestamps[::-1].copy()  # after the constructor's check
+    data.timestamps[:] = data.timestamps[::-1].copy()
     with pytest.raises(DatasetError, match="monotone"):
         read_csv(written(data, tmp_path / "mono.csv"))
 
@@ -282,14 +284,18 @@ def test_written_file_is_read_from_its_archive(tmp_path):
     assert np.array_equal(read_csv(path).inputs, data.inputs + 1.0)
 
 
-def _rewrite_archive(path, **changes):
-    """Rewrite the archive beside `path` with entries changed (None drops
-    one); the CSV digest in it still matches."""
-    with np.load(archive_of(path)) as archive:
-        entries = {name: archive[name] for name in archive.files}
+def _rewrite(archive, **changes):
+    """Rewrite the .npz `archive` with entries changed (None drops one)."""
+    with np.load(archive) as npz:
+        entries = {name: npz[name] for name in npz.files}
     entries.update(changes)
-    with open(archive_of(path), "wb") as f:
+    with open(archive, "wb") as f:
         np.savez(f, **{k: v for k, v in entries.items() if v is not None})
+
+
+def _rewrite_archive(path, **changes):
+    """`_rewrite` of the archive beside `path`; the CSV digest in it still matches."""
+    _rewrite(archive_of(path), **changes)
 
 
 UNREADABLE = r"d\.csv\.npz: unreadable archive \(File is not a zip file\); rerun generate"
@@ -326,6 +332,43 @@ def test_damaged_archive_is_one_line_error(tmp_path, damage, message):
     with pytest.raises(DatasetError) as info:
         read_csv(path)
     assert re.fullmatch(re.escape(f"{tmp_path}/") + message, str(info.value))
+
+
+def _dataset_reader(tmp_path):
+    path = written(make_data(), tmp_path / "d.csv")
+    return path, archive_of(path), read_csv, DatasetError, "rerun generate"
+
+
+def _model_reader(tmp_path):
+    path = tmp_path / "m.npz"
+    sg.save(sg.train(make_data(), method=sg.NONE), path)
+    return path, path, sg.load, SurrogateError, "retrain"
+
+
+@pytest.mark.parametrize("damage, problem", [
+    (lambda a: a.unlink(), "no such file"),
+    (lambda a: a.write_bytes(b""), r"unreadable archive \(File is not a zip file\)"),
+    (lambda a: a.write_bytes(b'{"format": "x"}'),
+     r"unreadable archive \(File is not a zip file\)"),
+    (lambda a: a.write_bytes(a.read_bytes()[:100]), r"unreadable archive \(.+\)"),
+    (lambda a: _rewrite(a, format=np.array("other")),
+     r"'other' version \d+, not 'hybridflow-\w+' version \d+"),
+    (lambda a: _rewrite(a, version=np.array(99)),
+     r"'hybridflow-\w+' version 99, not 'hybridflow-\w+' version \d+"),
+    (lambda a: _rewrite(a, version=None), "missing entry 'version'"),
+], ids=["absent", "empty", "not_a_zip", "truncated", "other_format", "other_version",
+        "missing_entry"])
+@pytest.mark.parametrize("reader", [_dataset_reader, _model_reader], ids=["dataset", "model"])
+def test_archive_failure_is_one_line_naming_the_file_and_its_fix(tmp_path, reader, damage,
+                                                                 problem):
+    """`read_csv` and `surrogate.load` share one archive reader: each
+    failure is one line that names the archive and ends in its fix."""
+    path, archive, read, error, fix = reader(tmp_path)
+    damage(archive)
+    with pytest.raises(error) as info:
+        read(path)
+    assert re.fullmatch(re.escape(f"{archive}: ") + problem + re.escape(f"; {fix}"),
+                        str(info.value))
 
 
 # ---- the writer against the row-at-a-time reference writer ----------------

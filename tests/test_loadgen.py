@@ -62,6 +62,21 @@ def test_bad_resolution_rejected():
         validate_spec(LoadProfileSpec(n_loads=2, resolution_minutes=7))
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"resolution_minutes": 0}, "resolution_minutes"),
+    ({"resolution_minutes": -5}, "resolution_minutes"),
+    ({"noise_scale": float("nan")}, "noise_scale"),
+    ({"noise_scale": float("inf")}, "noise_scale"),
+    ({"modes": default_modes(float("nan"))}, "level"),
+    ({"modes": default_modes(-0.01)}, "level"),
+    ({"modes": default_modes(float("inf"))}, "level"),
+], ids=["resolution_zero", "resolution_negative", "noise_nan", "noise_inf", "level_nan",
+        "level_negative", "level_inf"])
+def test_bad_scalar_is_rejected_naming_its_key(change, key):
+    with pytest.raises(LoadSpecError, match=key):
+        validate_spec(LoadProfileSpec(n_loads=2, **change))
+
+
 def test_power_factor_bound():
     spec = LoadProfileSpec(n_loads=6, duration_days=7, seed=3)
     series = generate(spec)

@@ -332,11 +332,14 @@ def test_save_writes_exactly_the_given_path(tmp_path):
         assert np.array_equal(mine, theirs)
 
 
+NOT_A_ZIP = r"unreadable archive \(File is not a zip file\); retrain$"
+
+
 def test_version_2_json_model_is_rejected(tmp_path):
     path = tmp_path / "v2.json"
     path.write_text(json.dumps({"format": "hybridflow-surrogate", "version": 2,
                                 "method": "none", "centers": [[0.0]]}))
-    with pytest.raises(SurrogateError, match=r"v2\.json: unsupported version 2$"):
+    with pytest.raises(SurrogateError, match=r"v2\.json: " + NOT_A_ZIP):
         sg.load(path)
 
 
@@ -344,14 +347,14 @@ def test_version_2_json_model_is_rejected(tmp_path):
 def test_non_archive_is_rejected(tmp_path, content):
     path = tmp_path / "model.npz"
     path.write_bytes(content)
-    with pytest.raises(SurrogateError, match=r"model\.npz: not a surrogate model file"):
+    with pytest.raises(SurrogateError, match=r"model\.npz: " + NOT_A_ZIP):
         sg.load(path)
 
 
 def test_non_surrogate_archive_is_rejected(tmp_path):
     path = tmp_path / "other.npz"
     np.savez(path, x=np.arange(3))
-    with pytest.raises(SurrogateError, match=r"other\.npz: not a surrogate model file$"):
+    with pytest.raises(SurrogateError, match=r"other\.npz: missing entry 'format'; retrain$"):
         sg.load(path)
 
 
@@ -365,5 +368,5 @@ def test_bad_train_sizes_are_rejected(tmp_path, sizes):
     assert fields["train_sizes"].sum() == len(fields["train_distances"]) == 200
     fields["train_sizes"] = np.array(sizes)
     np.savez(tmp_path / "bad.npz", **fields)
-    with pytest.raises(SurrogateError, match=r"bad\.npz: train_sizes .* do not split"):
+    with pytest.raises(SurrogateError, match=r"bad\.npz: train_sizes .* do not split .*; retrain$"):
         sg.load(tmp_path / "bad.npz")

@@ -43,6 +43,13 @@ def test_1d_sweep_rejects_second_grid():
         SweepSpec(parameter=STEP_CHANGE, values=[0.1], values2=[3.0])
 
 
+@pytest.mark.parametrize("days", [(-2, -1), (-1, 1), (1, 1), (2, 1)],
+                         ids=["negative", "negative_lo", "empty", "reversed"])
+def test_calibration_days_need_0_le_lo_lt_hi(days):
+    with pytest.raises(TuningError, match=r"calibration_days .*: need 0 <= LO < HI"):
+        SweepSpec(parameter=STEP_CHANGE, values=[0.1], calibration_days=days)
+
+
 @pytest.mark.parametrize("value2", [2.7, 0.0, -4.0, float("nan"), float("inf")])
 def test_2d_grid_rejects_an_interval_that_is_not_a_whole_number(value2):
     with pytest.raises(TuningError, match=rf"grid value {value2!r} is not a whole"):
