@@ -117,7 +117,13 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 def format_timestamp(t: np.datetime64) -> str:
     """ISO-8601 UTC to the second, as written in every CSV: 2024-01-01T00:05:00Z."""
-    return np.datetime_as_string(t, unit="s") + "Z"
+    return format_timestamps([t])[0]
+
+
+def format_timestamps(stamps) -> list[str]:
+    """`format_timestamp` of each stamp, by one numpy call for them all."""
+    text = np.datetime_as_string(np.asarray(stamps, dtype="datetime64[s]"), unit="s")
+    return np.char.add(text, "Z").tolist()
 
 
 def parse_timestamp(text: str) -> np.datetime64:

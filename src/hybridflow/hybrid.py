@@ -12,6 +12,13 @@ Two loops solve every step: `run_pure_solver`, the sequential warm-started
 baseline the hybrid is timed against, and `run_ground_truth`, which solves
 `generate`'s rows in blocks of batched chord passes and certifies each row
 with one Newton call.
+
+`run_series` and `run_pure_solver` can start from a given loop state in
+place of the flat start: `first_row_state` solves a series' first row once,
+cold, and each loop started from that state warm-starts from its solution
+and shares its read-only inverse in a `Chord` holder of its own. `tuning`
+starts its replay and every grid run this way, so the slice's cold start
+is paid once per sweep.
 """
 
 from __future__ import annotations
@@ -20,12 +27,12 @@ import csv
 import gc
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import surrogate as sg
-from .dataset import parse_timestamp
+from .dataset import format_timestamps, parse_timestamp
 from .loadgen import LoadSeries
 from .metrics import MetricError, eps_inf
 from .netmodel import Network
@@ -146,26 +153,30 @@ def step(state: HybridState, prediction: tuple[np.ndarray, np.ndarray, str | Non
 def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
                load_series: LoadSeries, config: HybridConfig,
                settings: SolverSettings,
-               ground_truth: tuple[np.ndarray, np.ndarray] | None = None
+               ground_truth: tuple[np.ndarray, np.ndarray] | None = None,
+               start: HybridState | None = None
                ) -> tuple[list[VoltageSolution], list[StepRecord], RunSummary]:
     """Sequential hybrid simulation over a load series.
 
     ground_truth, when given, is (v, a) matrices aligned with the series;
     each record then carries the accepted output's error against truth,
-    scored for all steps in one pass after the loop.
+    scored for all steps in one pass after the loop. The first step always
+    solves, from the flat start or, given `start`, warm from its solution
+    and inverse (see `run_pure_solver`).
     """
     stamps = load_series.timestamps
-    start = time.perf_counter()
+    began = time.perf_counter()
     X = np.hstack([load_series.P, load_series.Q])
     pred = sg.evaluate(surrogate, X)
     gates = input_gates(X, pred.percentile, config)
+    gates[:1] = FORCED_FIRST  # also when `start` holds a solution
     # the evaluation and gate time is spread evenly over the steps' wall times
-    share = (time.perf_counter() - start) / max(load_series.n_steps, 1)
+    share = (time.perf_counter() - began) / max(load_series.n_steps, 1)
     finite = (np.isfinite(pred.v) & np.isfinite(pred.a)).all(axis=1)
     if not finite.all():
         t = int(finite.argmin())
         raise SimulationError(f"non-finite model prediction at {stamps[t]} (row {t})")
-    state = HybridState()
+    state = _own(start)
     solutions = []
     records = []
     # the loop allocates no reference cycles; pausing the cyclic
@@ -201,21 +212,43 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
     return solutions, records, summary
 
 
-def run_pure_solver(network: Network, load_series: LoadSeries,
-                    settings: SolverSettings) -> list[VoltageSolution]:
+def run_pure_solver(network: Network, load_series: LoadSeries, settings: SolverSettings,
+                    start: HybridState | None = None) -> list[VoltageSolution]:
     """The sequential baseline the hybrid is timed against: solve every
     timestep in order, warm-starting from the previous solution and its
-    inverted Jacobian (flat full-Newton start on the first)."""
+    inverted Jacobian. The first row is solved by full Newton from the
+    flat start or, given `start` (`first_row_state` of the row before),
+    warm from its solution and inverse; `start` itself is not changed."""
+    state = _own(start)
+    return [_solve_row(state, network, load_series, t, settings)
+            for t in range(load_series.n_steps)]
+
+
+def first_row_state(network: Network, load_series: LoadSeries,
+                    settings: SolverSettings) -> HybridState:
+    """The loop state after one cold solve of the series' first row: its
+    solution and, with warm starts on, the inverse of its last Jacobian."""
     state = HybridState()
-    solutions = []
-    for t in range(load_series.n_steps):
-        try:
-            state.last_accepted = _solve(state, network, load_series.P[t],
-                                         load_series.Q[t], settings)
-        except (SimulationError, SingularJacobianError) as exc:
-            raise SimulationError(f"{exc} at {load_series.timestamps[t]} (row {t})") from None
-        solutions.append(state.last_accepted)
-    return solutions
+    _solve_row(state, network, load_series, 0, settings)
+    return state
+
+
+def _own(start: HybridState | None) -> HybridState:
+    """A loop's own state: empty, or `start`'s in a new `Chord` holder that
+    shares its read-only inverse."""
+    return HybridState() if start is None else replace(start, chord=replace(start.chord))
+
+
+def _solve_row(state: HybridState, network: Network, load_series: LoadSeries, t: int,
+               settings: SolverSettings) -> VoltageSolution:
+    """Row t solved by `_solve` and stored as `state`'s last accepted
+    solution; a failure names the row."""
+    try:
+        state.last_accepted = _solve(state, network, load_series.P[t], load_series.Q[t],
+                                     settings)
+    except (SimulationError, SingularJacobianError) as exc:
+        raise SimulationError(f"{exc} at {load_series.timestamps[t]} (row {t})") from None
+    return state.last_accepted
 
 
 def run_ground_truth(network: Network, load_series: LoadSeries,
@@ -271,10 +304,9 @@ RECORD_HEADER = ["timestamp", "decision", "triggering_check", "eps_inf",
 def write_records(records: list[StepRecord], path) -> None:
     """The records as CSV; wall times are not written, so reruns are
     byte-identical."""
-    stamps = np.datetime_as_string(np.array([r.timestamp for r in records],
-                                            dtype="datetime64[s]"), unit="s").tolist()
+    stamps = format_timestamps([r.timestamp for r in records])
     write_table(path, RECORD_HEADER,
-                ([stamp + "Z", r.decision, r.triggering_check, r.model_eps_inf_vs_truth,
+                ([stamp, r.decision, r.triggering_check, r.model_eps_inf_vs_truth,
                   r.solver_iterations] for stamp, r in zip(stamps, records)))
 
 

@@ -61,6 +61,9 @@ class LoadSeries:
     def n_steps(self) -> int:
         return len(self.timestamps)
 
+    def rows(self, lo: int, hi: int) -> "LoadSeries":
+        return LoadSeries(self.timestamps[lo:hi], self.P[lo:hi], self.Q[lo:hi])
+
 
 def default_modes(base_level: float = 0.01) -> list[ModeSpec]:
     """Seven weekly modes: four weekday and three weekend regimes."""

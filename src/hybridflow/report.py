@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import format_timestamp
+from .dataset import format_timestamps
 from .solver import MODEL, SOLVER
 
 if TYPE_CHECKING:
@@ -166,7 +166,8 @@ def write_error_series(records: list[StepRecord], cluster_labels, path) -> None:
     """Per-step error time series with cluster labels, for error-vs-time plots."""
     if cluster_labels is not None and len(cluster_labels) != len(records):
         raise ReportError("cluster_labels length does not match records")
+    stamps = format_timestamps([r.timestamp for r in records])
     write_table(path, ["timestamp", "decision", "eps_inf", "cluster"],
-                ([format_timestamp(r.timestamp), r.decision, r.model_eps_inf_vs_truth,
+                ([stamp, r.decision, r.model_eps_inf_vs_truth,
                   None if cluster_labels is None else int(cluster_labels[i])]
-                 for i, r in enumerate(records)))
+                 for i, (stamp, r) in enumerate(zip(stamps, records))))

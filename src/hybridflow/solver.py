@@ -62,7 +62,9 @@ class SolverSettings:
 @dataclass
 class Chord:
     """The inverted Jacobian a loop of warm-started solves carries between
-    them. It belongs to one loop: a new loop starts with an empty holder."""
+    them. Each loop has its own holder, but loops started from one state
+    (`hybrid.first_row_state`) share its inverse, so every inverse is
+    read-only: a refresh replaces it and never writes into it."""
     inverse: np.ndarray | None = None
     inversions: int = 0  # inversions so far, the first included
 
@@ -71,6 +73,7 @@ class Chord:
             self.inverse = np.linalg.inv(J)
         except np.linalg.LinAlgError:
             raise SingularJacobianError(iteration) from None
+        self.inverse.flags.writeable = False
         self.inversions += 1
 
 

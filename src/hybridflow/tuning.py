@@ -1,8 +1,12 @@
 """Gate-threshold calibration sweeps over a held-out calibration slice.
 
 One hybrid run per grid point; ground truth for the slice comes from a
-single pure-solver replay shared across all points. Results are emitted
-as a CSV table of error quantiles and model-use fractions.
+single pure-solver replay shared across all points. The slice's first row
+is solved once, cold (`hybrid.first_row_state`): the replay of the rows
+after it and every grid run start from that solution and its inverted
+Jacobian, so each grid run's first step is one warm solve that converges
+at iteration 0 with the same bits. Results are emitted as a CSV table of
+error quantiles and model-use fractions.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hybrid import HybridConfig, run_pure_solver, run_series
+from .hybrid import HybridConfig, first_row_state, run_pure_solver, run_series
 from .loadgen import LoadSeries
 from .netmodel import Network
 from .report import step_errors, write_table
@@ -95,10 +99,12 @@ def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
     if hi > test_series.n_steps:
         raise TuningError(f"calibration slice {spec.calibration_days} outside the "
                           f"test span of {test_series.n_steps // steps_per_day} days")
-    series = LoadSeries(timestamps=test_series.timestamps[lo:hi],
-                        P=test_series.P[lo:hi], Q=test_series.Q[lo:hi])
-    # one pure-solver replay amortized across all grid points
-    truth_solutions = run_pure_solver(network, series, settings)
+    series = test_series.rows(lo, hi)
+    # one pure-solver replay amortized across all grid points, which also
+    # start from its first row
+    start = first_row_state(network, series, settings)
+    truth_solutions = [start.last_accepted] + run_pure_solver(
+        network, series.rows(1, series.n_steps), settings, start)
     truth = (np.array([s.v for s in truth_solutions]),
              np.array([s.a for s in truth_solutions]))
 
@@ -107,7 +113,7 @@ def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
         for value2 in spec.values2 or [None]:
             config = config_for(spec, value, value2)
             _, records, _ = run_series(surrogate, network, series, config, settings,
-                                       ground_truth=truth)
+                                       ground_truth=truth, start=start)
             errors = step_errors(records)
             q25, q50, q75 = np.percentile(errors, [25, 50, 75])
             max_eps = float(np.max(errors))
@@ -122,14 +128,14 @@ def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
 def recommend(results: list[SweepPoint],
               max_error_budget: float) -> SweepPoint | None:
     """Highest model-use fraction among settings within the error budget;
-    ties broken toward the smaller threshold. None if nothing qualifies."""
+    ties broken toward the smaller threshold, then the smaller interval.
+    None if nothing qualifies."""
     if not results:
         raise TuningError("empty sweep results")
     feasible = [r for r in results if r.max_eps <= max_error_budget]
     if not feasible:
         return None
-    return max(feasible, key=lambda r: (r.model_fraction,
-                                        -(r.value + (r.value2 or 0.0))))
+    return min(feasible, key=lambda r: (-r.model_fraction, r.value, r.value2 or 0.0))
 
 
 def write_sweep(results: list[SweepPoint], path) -> None:

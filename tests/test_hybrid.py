@@ -5,12 +5,14 @@ import pytest
 
 from hybridflow import surrogate as sg
 from hybridflow.hybrid import (DISTANCE, STEP_CHANGE, HybridConfig, HybridState,
-                               SimulationError, input_gates, read_records,
-                               run_pure_solver, run_series, step, write_records)
+                               SimulationError, first_row_state, input_gates,
+                               read_records, run_pure_solver, run_series, step,
+                               write_records)
 from hybridflow.loadgen import LoadSeries
 from hybridflow.metrics import eps_inf
-from hybridflow.solver import MODEL, SOLVER
+from hybridflow.solver import MODEL, SOLVER, Chord
 from tests.oracles import mode_labels
+from tests.test_solver import x3_step
 
 
 def constant_series(network, level=0.01, T=64):
@@ -257,6 +259,50 @@ def test_runs_share_no_solver_state(feeder30, small_dataset, settings):
         == [(x.decision, x.triggering_check, x.solver_iterations) for x in r2]
     for a, b in zip(s1, s2):
         assert np.array_equal(a.v, b.v) and np.array_equal(a.a, b.a)
+
+
+def test_loop_inverse_is_read_only(feeder30, small_series, settings):
+    start = first_row_state(feeder30, small_series, settings)
+    assert start.chord.inversions == 1
+    with pytest.raises(ValueError, match="read-only"):
+        start.chord.inverse[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        start.chord.inverse *= 2.0
+
+
+def test_runs_from_a_shared_start_leave_it_unchanged(feeder30, small_dataset, small_series,
+                                                     settings, monkeypatch):
+    # a x3 load step makes each loop refresh its inverse
+    series = x3_step(small_series)
+    cold = run_pure_solver(feeder30, series, settings)
+    start = first_row_state(feeder30, series, settings)
+    inverse, inverse_bits = start.chord.inverse, start.chord.inverse.copy()
+    first = start.last_accepted
+    assert np.array_equal(first.v, cold[0].v) and np.array_equal(first.a, cold[0].a)
+
+    refreshed = []
+    real_invert = Chord.invert
+
+    def invert(chord, J, iteration):
+        refreshed.append(chord)
+        real_invert(chord, J, iteration)
+
+    monkeypatch.setattr(Chord, "invert", invert)
+    model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
+    config = HybridConfig(step_change_threshold=0.0)  # every step solves
+    solutions, records, _ = run_series(model, feeder30, series, config, settings,
+                                       start=start)
+    rest = run_pure_solver(feeder30, series.rows(1, series.n_steps), settings, start)
+    assert refreshed and all(chord is not start.chord for chord in refreshed)
+    assert start.chord.inverse is inverse and np.array_equal(inverse, inverse_bits)
+    assert start.chord.inversions == 1 and start.last_accepted is first
+
+    # the same bits as the cold loops; the grid run's first solve is warm
+    assert records[0].triggering_check == "forced_first"
+    assert records[0].solver_iterations == 0 < cold[0].iterations
+    for got in (solutions, [first] + rest):
+        for a, b in zip(got, cold, strict=True):
+            assert np.array_equal(a.v, b.v) and np.array_equal(a.a, b.a)
 
 
 def test_records_csv_round_trip(tmp_path, feeder30, small_dataset, settings):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hybridflow.dataset import format_timestamp
+from hybridflow.dataset import format_timestamp, format_timestamps
 from hybridflow.hybrid import StepRecord, read_records, write_records
 from hybridflow.report import (ReportError, format_summary, histogram,
                                step_errors, summarize, write_error_series,
@@ -120,6 +120,23 @@ def test_error_series_with_clusters(tmp_path):
     assert rows[2][3] == "1"
     with pytest.raises(ReportError):
         write_error_series(records, [0], tmp_path / "bad.csv")
+
+
+def test_stamp_columns_match_per_row_formatting(tmp_path):
+    # a leap day, a year end, the epoch and stamps held in other units
+    stamps = [np.datetime64("2024-02-28T23:55:00", "s"), np.datetime64("2024-02-29", "D"),
+              np.datetime64("2024-12-31T23:59:59", "s"), np.datetime64("1970-01-01T00:00", "m"),
+              np.datetime64("2031-07-04T12:30:15", "ms")]
+    per_row = [np.datetime_as_string(t, unit="s") + "Z" for t in stamps]
+    assert format_timestamps(stamps) == per_row
+    assert [format_timestamp(t) for t in stamps] == per_row
+    records = [StepRecord(timestamp=t, decision="model", triggering_check=None,
+                          model_eps_inf_vs_truth=0.0) for t in stamps]
+    write_records(records, tmp_path / "records.csv")
+    write_error_series(records, None, tmp_path / "error_series.csv")
+    for name in ("records.csv", "error_series.csv"):
+        with open(tmp_path / name, newline="") as f:
+            assert [row[0] for row in list(csv.reader(f))[1:]] == per_row
 
 
 def test_records_read_back_carry_no_wall_time(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from hybridflow import hybrid
 from hybridflow import surrogate as sg
-from hybridflow.hybrid import HybridConfig, run_pure_solver, run_series
+from hybridflow.hybrid import run_pure_solver, run_series
 from hybridflow.report import step_errors
 from hybridflow.tuning import (ERROR_GRID, ERROR_THRESHOLD, STEP_CHANGE,
-                               SweepSpec, TuningError, config_for, recommend,
-                               sweep, write_sweep)
+                               SweepPoint, SweepSpec, TuningError, config_for,
+                               recommend, sweep, write_sweep)
 
 PER_DAY = 96  # the small fixture's 15-minute steps
 
@@ -64,17 +65,51 @@ def test_single_point_equals_direct_run(trained, feeder30, test_slice, settings)
     series = test_slice.rows(0, test_slice.steps_per_day).series()
     config = config_for(spec, 0.05)
     # the sweep's truth is its own replay of the slice, started cold; the
-    # dataset's continuous replay agrees with it only to mismatch_tolerance
+    # dataset's continuous replay agrees with it only to mismatch_tolerance.
+    # Its runs start from the replay's first row, which gives the same bits
+    # as these cold runs.
     truth_solutions = run_pure_solver(feeder30, series, settings)
     truth = (np.array([s.v for s in truth_solutions]),
              np.array([s.a for s in truth_solutions]))
     _, records, summary = run_series(trained, feeder30, series, config, settings,
                                      ground_truth=truth)
     point = results[0]
-    assert point.model_fraction == pytest.approx(summary.avoided_solves_fraction)
+    assert point.model_fraction == summary.avoided_solves_fraction
     errors = step_errors(records)
-    assert point.q50 == pytest.approx(float(np.percentile(errors, 50)))
-    assert point.max_eps == pytest.approx(float(np.max(errors)))
+    assert [point.q25, point.q50, point.q75] == np.percentile(errors, [25, 50, 75]).tolist()
+    assert point.max_eps == float(np.max(errors))
+
+
+def _count_solves(monkeypatch) -> list[bool]:
+    """Whether each `solve_newton_raphson` call of a hybrid loop starts flat."""
+    calls = []
+    real = hybrid.solve_newton_raphson
+
+    def counting(network, p, q, guess, settings, chord=None):
+        calls.append(guess is None)
+        return real(network, p, q, guess, settings, chord)
+
+    monkeypatch.setattr(hybrid, "solve_newton_raphson", counting)
+    return calls
+
+
+@pytest.mark.parametrize("values", [[0.05], [0.0, 0.05, 0.2, 0.5]], ids=["1", "4"])
+def test_sweep_makes_one_flat_start_solve(trained, feeder30, test_slice, settings,
+                                          monkeypatch, values):
+    calls = _count_solves(monkeypatch)
+    sweep(SweepSpec(parameter=STEP_CHANGE, values=values), trained, feeder30,
+          test_slice.series(), PER_DAY, settings)
+    assert sum(calls) == 1
+
+
+def test_sweep_solves_each_calibration_row_and_solver_step_once(
+        trained, feeder30, test_slice, settings, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    spec = SweepSpec(parameter=ERROR_GRID, values=[1e-4, 1e-2], values2=[2, 12])
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
+    steps = PER_DAY  # calibration days 0-1
+    assert len(calls) == steps + sum(round((1 - r.model_fraction) * steps)
+                                     for r in results)
 
 
 def test_step_change_zero_grid_point(trained, feeder30, test_slice, settings):
@@ -122,6 +157,18 @@ def test_recommend_picks_highest_model_use(trained, feeder30, test_slice, settin
     assert best is not None
     assert best.model_fraction == max(r.model_fraction for r in results)
     assert best.max_eps <= 1.0
+
+
+def test_recommend_breaks_ties_toward_the_smaller_threshold():
+    def point(value, value2):
+        return SweepPoint(ERROR_GRID, value, value2, q25=0.0, q50=0.0, q75=0.0,
+                          max_eps=0.0, model_fraction=0.5, extreme=False)
+
+    for results in ([point(0.1, 2), point(1e-4, 6)], [point(1e-4, 6), point(0.1, 2)]):
+        best = recommend(results, max_error_budget=0.01)
+        assert (best.value, best.value2) == (1e-4, 6)
+    best = recommend([point(1e-4, 12), point(1e-4, 6)], max_error_budget=0.01)
+    assert (best.value, best.value2) == (1e-4, 6)
 
 
 def test_recommend_infeasible_budget(trained, feeder30, test_slice, settings):
