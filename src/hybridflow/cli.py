@@ -109,6 +109,10 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x != ""]
 
 
+# `tune`'s options whose values are comma-separated lists
+LIST_OPTIONS = ("--values", "--values2", "--calibration-days")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hybridflow")
     parser.add_argument("--config", required=True, help="run configuration YAML")
@@ -140,8 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """`argv` with each comma-list option joined to the value after it by
+    "=": argparse reads a value such as "-1,1" as an option and ends in its
+    usage error, while joined it reaches the option's own one-line check."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in LIST_OPTIONS:
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         config = load_config(args.config, seed_override=args.seed,
                              out_override=args.out)

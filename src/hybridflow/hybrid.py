@@ -235,7 +235,7 @@ def first_row_state(network: Network, load_series: LoadSeries,
 
 def _own(start: HybridState | None) -> HybridState:
     """A loop's own state: empty, or `start`'s in a new `Chord` holder that
-    shares its read-only inverse."""
+    shares its read-only inverse and its solution's injections."""
     return HybridState() if start is None else replace(start, chord=replace(start.chord))
 
 

@@ -78,6 +78,13 @@ class Network:
         return block
 
     @cached_property
+    def Y_pq_rows(self) -> np.ndarray:
+        """Y's pq rows: `Y_pq_rows @ V` is the pq buses' currents."""
+        rows = self.Y[self.pq_indices]
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
     def load_buses(self) -> np.ndarray:
         """Bus indices ordered by their position in the load vector."""
         attached = sorted((b.load_attachment, b.id) for b in self.buses

@@ -11,8 +11,14 @@ LU-solves the dense 2*npq system, O(n^3). A loop of warm-started solves
 passes one `Chord` holder to each: after its first solve the holder keeps
 an inverted Jacobian, and each iteration is one O(n^2) `inverse @ mismatch`
 product (chord Newton, the idea behind fast decoupled load flow). The
-inverse is refreshed, at O(n^3), only when an iteration shrank the max
-mismatch by less than half, as after a large load step.
+inverse is refreshed, at O(n^3), when an iteration shrank the max mismatch
+by less than half, and at a converged point once the solves on it have
+run REFRESH_DEBT_PER_PQ_BUS iterations per pq bus past their second (the
+chord/Shamanskii trade-off between refactoring and iterating), as after a
+large load step. A chord solve that does not converge is retried once as
+full Newton. The holder also keeps the injections of the solution it last
+returned, so a solve warm-started from that solution skips its first
+evaluation.
 
 The steps of a time series are independent power flows, so `chord_blocks`
 also iterates a block of rows at once from the flat start: one batched
@@ -36,6 +42,14 @@ MODEL = "model"
 # rows per block of `chord_blocks`: on feeder30 the passes over 8,064 rows
 # peak near 3 MiB of numpy memory in blocks, and at 36 MiB in one block
 BLOCK_ROWS = 512
+
+# a held inverse is refreshed at a converged point once the chord solves on
+# it have run this many iterations per pq bus past their second (a fresh
+# inverse brings a warm row back to 2). An inversion is O(m^3) in the
+# Jacobian's order m = 2*npq, an iteration O(m^2); over the full study's
+# 8,064 rows with load events, 1 (m/2) gave 2.47 iterations and 42 us per
+# row on a 2-vCPU VM with one BLAS thread, 2 (m) gave 2.77 and 44 us
+REFRESH_DEBT_PER_PQ_BUS = 1
 
 
 class SingularJacobianError(RuntimeError):
@@ -61,12 +75,19 @@ class SolverSettings:
 
 @dataclass
 class Chord:
-    """The inverted Jacobian a loop of warm-started solves carries between
-    them. Each loop has its own holder, but loops started from one state
+    """What a loop of warm-started solves carries between them: the
+    inverted Jacobian, its iteration debt (how stale it has grown), and the
+    pq injections [P, Q] of the solution the holder last returned, keyed by
+    that object's identity: one vector, replaced at every return.
+
+    Each loop has its own holder, but loops started from one state
     (`hybrid.first_row_state`) share its inverse, so every inverse is
     read-only: a refresh replaces it and never writes into it."""
     inverse: np.ndarray | None = None
     inversions: int = 0  # inversions so far, the first included
+    debt: int = 0  # iterations past each chord solve's second, since the last inversion
+    solution: VoltageSolution | None = None
+    injection: np.ndarray | None = None  # at `solution`
 
     def invert(self, J: np.ndarray, iteration: int) -> None:
         try:
@@ -75,6 +96,7 @@ class Chord:
             raise SingularJacobianError(iteration) from None
         self.inverse.flags.writeable = False
         self.inversions += 1
+        self.debt = 0
 
 
 @dataclass
@@ -91,9 +113,14 @@ def power_mismatch(network: Network, p: np.ndarray, q: np.ndarray,
 
     This is the quantity driven below mismatch_tolerance at convergence.
     """
+    return _target(network, p, q) - _injection(network, v, a)
+
+
+def _injection(network: Network, v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The injections [P, Q] at the pq buses for bus voltages (v, a)."""
     V = v * np.exp(1j * a)
-    S = (V * np.conj(network.Y @ V))[network.pq_indices]
-    return _target(network, p, q) - np.concatenate([S.real, S.imag])
+    Sp = V[network.pq_indices] * np.conj(network.Y_pq_rows @ V)
+    return np.concatenate([Sp.real, Sp.imag])
 
 
 def _jacobian(Y_pp: np.ndarray, Vp: np.ndarray, Sp: np.ndarray) -> np.ndarray:
@@ -123,7 +150,7 @@ def _target(network: Network, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected load vectors of length {network.n_loads}, "
                          f"got {P.shape} and {Q.shape}")
     zero = np.zeros(P.shape[:-1] + (1,))
-    return np.concatenate([-P, -Q, zero], axis=-1).take(network.pq_target_index, axis=-1)
+    return -np.concatenate([P, Q, zero], axis=-1).take(network.pq_target_index, axis=-1)
 
 
 def chord_blocks(network: Network, P: np.ndarray, Q: np.ndarray, settings: SolverSettings
@@ -209,57 +236,110 @@ def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
                          chord: Chord | None = None) -> VoltageSolution:
     """Polar-coordinate Newton-Raphson power flow.
 
-    Full Newton unless `chord` holds an inverse; given an empty `chord`, it
-    leaves the inverse of its last Jacobian there. With a held inverse each
-    iteration steps by `inverse @ mismatch`, refreshing the inverse at the
-    current point when the previous iteration shrank the max mismatch by
-    less than half. Either way convergence is judged on the true mismatch.
-    Returns an explicit non-converged result if max_iterations is
-    exhausted; raises SingularJacobianError on a singular system.
+    Full Newton unless `chord` holds an inverse; given a `chord` without
+    one, it leaves the inverse of its last Jacobian there. With a held
+    inverse each iteration steps by `inverse @ mismatch`. The inverse is
+    refreshed at the current point when the previous iteration shrank the
+    max mismatch by less than half, and at the converged point once the
+    holder's debt reaches REFRESH_DEBT_PER_PQ_BUS per pq bus: each
+    converged chord solve adds its iterations past the second, and every
+    inversion clears it. A chord solve that does not converge is retried
+    once as full Newton from the same guess, whose inverse the holder
+    takes; `iterations` counts both attempts.
+
+    A guess that is the solution the holder last returned starts from the
+    injections the holder kept for it, with the same bits as computing
+    them. Either way convergence is judged on the true mismatch. The
+    returned `v` and `a` are read-only. Returns an explicit non-converged
+    result if max_iterations is exhausted; raises SingularJacobianError on
+    a singular system.
     """
     settings = settings or SolverSettings()
-    slack = network.slack_index
+    target = _target(network, p, q)
+    known = None
+    if chord is not None and initial_guess is not None and initial_guess is chord.solution:
+        known = chord.injection
+    chord_steps = chord is not None and chord.inverse is not None
+    v, a = _start(network, initial_guess)
+    iterations, converged, injection, J = _iterate(network, target, v, a, settings,
+                                                   chord if chord_steps else None, known)
+    spent = 0
+    if chord_steps and not converged:  # the retry, as full Newton
+        spent, chord_steps = iterations, False
+        v, a = _start(network, initial_guess)
+        iterations, converged, injection, J = _iterate(network, target, v, a, settings,
+                                                       None, known)
+    if chord is not None and converged:
+        if chord_steps:
+            chord.debt += max(iterations - 2, 0)
+            if chord.debt >= REFRESH_DEBT_PER_PQ_BUS * len(network.pq_indices):
+                chord.invert(_jacobian_at(network, v, a, injection), iterations)
+        elif J is not None:
+            chord.invert(J, iterations - 1)
+    v.flags.writeable = False
+    a.flags.writeable = False
+    solution = VoltageSolution(v=v, a=a, iterations=spent + iterations, converged=converged)
+    if chord is not None:
+        chord.solution, chord.injection = solution, injection
+    return solution
+
+
+def _start(network: Network, guess: VoltageSolution | None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Writable copies of the guess's v and a with the slack pinned, or the
+    flat start."""
+    if guess is None:
+        return np.ones(network.n_bus), np.zeros(network.n_bus)
+    v = np.array(guess.v, dtype=float)
+    a = np.array(guess.a, dtype=float)
+    v[network.slack_index] = 1.0
+    a[network.slack_index] = 0.0
+    return v, a
+
+
+def _iterate(network: Network, target: np.ndarray, v: np.ndarray, a: np.ndarray,
+             settings: SolverSettings, chord: Chord | None, injection: np.ndarray | None
+             ) -> tuple[int, bool, np.ndarray, np.ndarray | None]:
+    """Newton iterations from (v, a), which are updated in place: full
+    Newton without `chord`, else chord steps on its inverse. `injection`,
+    if given, is the injections at the start. Returns the iterations run,
+    whether they converged, the injections at the final (v, a) and the last
+    full-Newton Jacobian (None on chord steps)."""
     pq = network.pq_indices
     npq = len(pq)
-    target = _target(network, p, q)
-
-    if initial_guess is not None:
-        v = np.array(initial_guess.v, dtype=float)
-        a = np.array(initial_guess.a, dtype=float)
-    else:
-        v = np.ones(network.n_bus)
-        a = np.zeros(network.n_bus)
-    v[slack] = 1.0
-    a[slack] = 0.0
-
-    full_newton = chord is None or chord.inverse is None
     J = None
     previous = np.inf
     for iteration in range(settings.max_iterations + 1):
-        V = v * np.exp(1j * a)
-        Vp = V[pq]
-        Sp = Vp * np.conj((network.Y @ V)[pq])
-        mismatch = target - np.concatenate([Sp.real, Sp.imag])
+        if injection is None:
+            injection = _injection(network, v, a)
+        mismatch = target - injection
         worst = np.abs(mismatch).max()
         if worst <= settings.mismatch_tolerance:
-            if chord is not None and full_newton and J is not None:
-                chord.invert(J, iteration - 1)
-            return VoltageSolution(v=v, a=a, iterations=iteration, converged=True)
+            return iteration, True, injection, J
         if iteration == settings.max_iterations:
             break
-        if full_newton:
-            J = _jacobian(network.Y_pq, Vp, Sp)
+        if chord is None:
+            J = _jacobian_at(network, v, a, injection)
             try:
                 dx = np.linalg.solve(J, mismatch)
             except np.linalg.LinAlgError:
                 raise SingularJacobianError(iteration) from None
         else:
             if not worst <= 0.5 * previous:  # also refreshes on a NaN mismatch
-                chord.invert(_jacobian(network.Y_pq, Vp, Sp), iteration)
+                chord.invert(_jacobian_at(network, v, a, injection), iteration)
             dx = chord.inverse @ mismatch
         previous = worst
         a[pq] += dx[:npq]
         v[pq] += dx[npq:]
+        injection = None
+    return settings.max_iterations, False, injection, J
 
-    return VoltageSolution(v=v, a=a, iterations=settings.max_iterations,
-                           converged=False)
+
+def _jacobian_at(network: Network, v: np.ndarray, a: np.ndarray,
+                 injection: np.ndarray) -> np.ndarray:
+    """The Jacobian at (v, a), whose injections are `injection`."""
+    pq = network.pq_indices
+    Sp = np.empty(len(pq), dtype=complex)
+    Sp.real = injection[:len(pq)]
+    Sp.imag = injection[len(pq):]
+    return _jacobian(network.Y_pq, v[pq] * np.exp(1j * a[pq]), Sp)

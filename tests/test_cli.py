@@ -32,7 +32,7 @@ surrogate:
   method: kmeans
   n_clusters: 3
   seed: 3
-  model_file: {out}/surrogate.json
+  model_file: {out}/surrogate.npz
 hybrid:
   error_check_threshold: 0.01
   max_check_interval: 2
@@ -70,7 +70,7 @@ def test_generate_reproducible(workdir, tmp_path):
 
 
 def test_train_writes_model(workdir):
-    model = sg.load(workdir / "out" / "surrogate.json")
+    model = sg.load(workdir / "out" / "surrogate.npz")
     assert model.method == "kmeans"
     assert model.n_c == 3
 
@@ -85,8 +85,8 @@ def test_train_none_equals_single_cluster(workdir, tmp_path):
     for name in ("c1", "c2"):
         assert main(["--config", str(tmp_path / f"{name}.yaml"), "generate"]) == 0
         assert main(["--config", str(tmp_path / f"{name}.yaml"), "train"]) == 0
-    m_none = sg.load(tmp_path / "o1" / "surrogate.json")
-    m_one = sg.load(tmp_path / "o2" / "surrogate.json")
+    m_none = sg.load(tmp_path / "o1" / "surrogate.npz")
+    m_one = sg.load(tmp_path / "o2" / "surrogate.npz")
     assert m_none.n_c == m_one.n_c == 1
     assert np.allclose(m_none.centers, m_one.centers)
     assert np.allclose(m_none.coef, m_one.coef)
@@ -172,7 +172,7 @@ def test_unknown_config_key_is_error(tmp_path, anchor, key):
 
 def test_version_1_surrogate_is_one_line_error(workdir, tmp_path, capsys):
     # the version-1 layout: a list of per-cluster maps A1/A2 (v/a) and b1/b2
-    model = sg.load(workdir / "out" / "surrogate.json")
+    model = sg.load(workdir / "out" / "surrogate.npz")
     n_v = model.coef.shape[1] // 2
     v1 = tmp_path / "v1.json"
     v1.write_text(json.dumps({
@@ -188,7 +188,7 @@ def test_version_1_surrogate_is_one_line_error(workdir, tmp_path, capsys):
     }))
     config = tmp_path / "run.yaml"
     config.write_text(CONFIG_TEMPLATE.format(out=workdir / "out").replace(
-        f"model_file: {workdir / 'out'}/surrogate.json", f"model_file: {v1}"))
+        f"model_file: {workdir / 'out'}/surrogate.npz", f"model_file: {v1}"))
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),
                  "simulate"]) == 1
     lines = capsys.readouterr().err.splitlines()
@@ -240,7 +240,7 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
     ("  n_clusters: 3\n", '  n_clusters: 3\n  intercept: "no"\n', {}, ["simulate"]),
     ("  n_loads: 29\n", "", {}, ["simulate"]),
     ("hybrid:\n", "hybrid: [\n", {}, ["simulate"]),
-    ("model_file: {out}/surrogate.json", "model_file: {tmp}/model.json",
+    ("model_file: {out}/surrogate.npz", "model_file: {tmp}/model.json",
      {"model.json": "{not json"}, ["simulate"]),
     ("network: feeder30", "network: {tmp}/net.yaml", {"net.yaml": ZERO_IMPEDANCE},
      ["simulate"]),
@@ -254,6 +254,8 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
                   "--calibration-days", "0"]),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
                   "--calibration-days=-1,1"]),
+    ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
+                  "--calibration-days", "-1,1"]),
     ("", "", {"records.csv": RECORDS},
      ["report", "--records", "{tmp}/records.csv", "--bin-width", "0"]),
     ("", "", {"records.csv": SHORT_RECORD}, ["report", "--records", "{tmp}/records.csv"]),
@@ -266,7 +268,8 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
         "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
         "zero_impedance", "bus_without_id", "resolution_zero", "resolution_negative",
         "noise_nan", "base_level_negative", "calibration_days", "calibration_days_negative",
-        "bin_width_zero", "records_short_row", "clip_inf", "bin_width_nan"])
+        "calibration_days_negative_spaced", "bin_width_zero", "records_short_row", "clip_inf",
+        "bin_width_nan"])
 def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -280,7 +283,7 @@ def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, 
 
 def _damaged_model(workdir, tmp_path, damage) -> Path:
     """The trained model's archive with `damage` applied to its arrays."""
-    with np.load(workdir / "out" / "surrogate.json") as archive:
+    with np.load(workdir / "out" / "surrogate.npz") as archive:
         fields = dict(archive)
     damage(fields)
     damaged = tmp_path / "damaged.npz"
@@ -291,7 +294,7 @@ def _damaged_model(workdir, tmp_path, damage) -> Path:
 
 def test_surrogate_missing_key_is_one_line_error(workdir, tmp_path, capsys):
     damaged = _damaged_model(workdir, tmp_path, lambda fields: fields.pop("coef"))
-    config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.json",
+    config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.npz",
                           f"model_file: {damaged}")
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),
                  "simulate"]) == 1
@@ -307,7 +310,7 @@ def test_surrogate_empty_cluster_is_one_line_error(workdir, tmp_path, capsys):
         sizes[1] = 0
 
     damaged = _damaged_model(workdir, tmp_path, empty_cluster_1)
-    config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.json",
+    config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.npz",
                           f"model_file: {damaged}")
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),
                  "simulate"]) == 1
@@ -376,7 +379,7 @@ split:
   test_days: 1
 surrogate:
   method: none
-  model_file: {out}/surrogate.json
+  model_file: {out}/surrogate.npz
 output_dir: {out}
 """
 
@@ -439,7 +442,7 @@ def test_train_accepts_an_empty_test_split(workdir, tmp_path):
                       .replace(f"model_file: {workdir / 'out'}", f"model_file: {tmp_path}"))
     with pytest.warns(UserWarning, match="empty test set"):
         assert main(["--config", str(config), "train"]) == 0
-    assert sg.load(tmp_path / "surrogate.json").n_c == 3
+    assert sg.load(tmp_path / "surrogate.npz").n_c == 3
 
 
 def test_tune_single_point(workdir):

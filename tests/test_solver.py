@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hybridflow.hybrid import (HybridConfig, HybridState, SimulationError,
                               run_ground_truth, run_pure_solver, step)
 from hybridflow.loadgen import LoadSeries
 from hybridflow.netmodel import PQ, SLACK, Bus, Line, make_network
-from hybridflow.solver import (Chord, SingularJacobianError, SolverSettings, _jacobian,
-                               power_mismatch, solve_newton_raphson)
+from hybridflow.solver import (Chord, SingularJacobianError, SolverSettings,
+                               VoltageSolution, _jacobian, power_mismatch,
+                               solve_newton_raphson)
 from tests.oracles import jacobian_dense, solve_gauss_seidel, solve_newton_dense
 
 
@@ -191,12 +193,13 @@ def test_cached_index_sets_match_buses(name, request):
     by_load = sorted((b.load_attachment, b.id) for b in buses
                      if b.load_attachment is not None)
     assert network.load_buses.tolist() == [bus for _, bus in by_load]
-    for attr in ("pq_indices", "load_buses", "Y_pq"):
+    for attr in ("pq_indices", "load_buses", "Y_pq", "Y_pq_rows"):
         arr = getattr(network, attr)
         assert getattr(network, attr) is arr  # computed once per network
         assert not arr.flags.writeable
     pq = network.pq_indices
     assert np.array_equal(network.Y_pq, network.Y[np.ix_(pq, pq)])
+    assert np.array_equal(network.Y_pq_rows, network.Y[pq])
 
 
 def test_iterations_match_dense_oracle_warm_started(feeder30, small_series, settings):
@@ -225,6 +228,7 @@ def test_chord_replay_meets_tolerance_and_tracks_full_newton(feeder30, small_ser
                                                               settings):
     chord = Chord()
     warm = full = None
+    debt = 0
     for t in range(small_series.n_steps):
         p, q = small_series.P[t], small_series.Q[t]
         warm = solve_newton_raphson(feeder30, p, q, warm, settings, chord)
@@ -234,9 +238,14 @@ def test_chord_replay_meets_tolerance_and_tracks_full_newton(feeder30, small_ser
         assert np.max(np.abs(residual)) <= settings.mismatch_tolerance, t
         if t == 0:  # a loop's first solve, with an empty holder, is full Newton
             assert np.array_equal(warm.v, full.v) and np.array_equal(warm.a, full.a)
+        else:
+            debt += max(warm.iterations - 2, 0)
         assert np.max(np.abs(warm.v - full.v)) < 1e-7, t
         assert np.max(np.abs(warm.a - full.a)) < 1e-7, t
-    assert 1 <= chord.inversions <= small_series.n_steps // 100
+    # each refresh after the first solve's inversion is paid for by a full
+    # debt, when no iteration fails to halve the mismatch (none does here)
+    threshold = solver.REFRESH_DEBT_PER_PQ_BUS * len(feeder30.pq_indices)
+    assert 1 <= chord.inversions <= 1 + debt // threshold
 
 
 def test_load_step_refreshes_the_inverse(feeder30, small_series, settings):
@@ -252,6 +261,98 @@ def test_load_step_refreshes_the_inverse(feeder30, small_series, settings):
         inversions.append(chord.inversions)
     # the first solve leaves one inverse, which serves until the x3 step
     assert inversions[:4] == [1, 1, 1, 1] and inversions[4] > 1
+
+
+def test_iteration_debt_refreshes_a_stale_inverse(feeder30, small_series, settings):
+    # at 1x the held inverse halves the mismatch at every iteration through
+    # the x3 step, so only the debt refreshes it; before the debt rule each
+    # row after the step took 8-10 iterations
+    series = x3_step(small_series, stop=80, level=1.0)
+    chord = Chord()
+    sol = None
+    iterations, inversions = [], []
+    for t in range(series.n_steps):
+        sol = solve_newton_raphson(feeder30, series.P[t], series.Q[t], sol, settings, chord)
+        assert sol.converged, t
+        iterations.append(sol.iterations)
+        inversions.append(chord.inversions)
+    threshold = solver.REFRESH_DEBT_PER_PQ_BUS * len(feeder30.pq_indices)
+    debt = np.cumsum([max(n - 2, 0) for n in iterations[1:]])
+    due = 1 + int(np.argmax(debt >= threshold))  # the row whose solve reaches it
+    assert iterations[4] > 3 and due > 4
+    assert inversions[:due] == [1] * due and inversions[due] == 2
+    assert max(iterations[due + 1:]) <= 3
+
+
+def test_reused_injection_keeps_the_bits(feeder30, small_series, settings, monkeypatch):
+    # a warm solve from the holder's last solution skips one evaluation;
+    # copied guesses (no reuse) give the same bits, iterations and refreshes
+    series = x3_step(small_series, stop=80, level=1.0)
+    evaluations = []
+    real = solver._injection
+
+    def counting(*args):
+        evaluations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_injection", counting)
+
+    def loop(copied):
+        evaluations.clear()
+        chord = Chord()
+        solutions = []
+        for t in range(series.n_steps):
+            guess = solutions[-1] if solutions else None
+            if copied and guess is not None:
+                guess = VoltageSolution(guess.v.copy(), guess.a.copy(), 0, True)
+            solutions.append(solve_newton_raphson(feeder30, series.P[t], series.Q[t],
+                                                  guess, settings, chord))
+        return solutions, chord, len(evaluations)
+
+    reused, chord, reused_evaluations = loop(copied=False)
+    copied, copied_chord, copied_evaluations = loop(copied=True)
+    assert copied_evaluations - reused_evaluations == series.n_steps - 1
+    for x, y in zip(reused, copied):
+        assert np.array_equal(x.v, y.v) and np.array_equal(x.a, y.a)
+        assert x.iterations == y.iterations
+    assert chord.inversions == copied_chord.inversions > 1
+    assert np.array_equal(chord.inverse, copied_chord.inverse)
+
+    # the holder keeps one injection vector, that of its last solution;
+    # the solutions carry none, and their bits are read-only
+    assert chord.solution is reused[-1]
+    assert np.array_equal(chord.injection, real(feeder30, reused[-1].v, reused[-1].a))
+    assert [f.name for f in fields(VoltageSolution)] == ["v", "a", "iterations",
+                                                         "converged"]
+    assert not reused[-1].v.flags.writeable and not reused[-1].a.flags.writeable
+
+
+def test_failed_chord_solve_is_retried_as_full_newton(feeder30, small_series):
+    # from row 3's solution on row 0's inverse, the x3 step takes 10 chord
+    # iterations but 4 of full Newton
+    series = x3_step(small_series)
+    settings = SolverSettings(max_iterations=6)
+    chord = Chord()
+    sol = None
+    for t in range(4):
+        sol = solve_newton_raphson(feeder30, series.P[t], series.Q[t], sol, settings, chord)
+    full_chord = Chord()  # empty: full Newton, which leaves its inverse there
+    full = solve_newton_raphson(feeder30, series.P[4], series.Q[4], sol, settings,
+                                full_chord)
+    retried = solve_newton_raphson(feeder30, series.P[4], series.Q[4], sol, settings, chord)
+    assert full.converged and retried.converged
+    assert retried.iterations == settings.max_iterations + full.iterations
+    assert np.array_equal(retried.v, full.v) and np.array_equal(retried.a, full.a)
+    assert np.array_equal(chord.inverse, full_chord.inverse)
+    assert chord.debt == 0
+
+    # a retry that fails too ends in the same one-line error as before
+    failing = LoadSeries(timestamps=series.timestamps[:2], P=series.P[:2] * [[1.0], [50.0]],
+                         Q=series.Q[:2] * [[1.0], [50.0]])
+    stamp = np.datetime_as_string(failing.timestamps[1], unit="s")
+    with pytest.raises(SimulationError, match=rf"^solver did not converge \(max 6 "
+                                              rf"iterations\) at {stamp} \(row 1\)$"):
+        run_pure_solver(feeder30, failing, settings)
 
 
 def test_singular_jacobian_at_refresh_names_the_row(feeder30, small_series, settings,
