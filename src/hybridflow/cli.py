@@ -8,6 +8,7 @@ import sys
 from . import dataset as ds
 from . import hybrid, loadgen, report, surrogate as sg, tuning
 from .config import ConfigError, RunConfig, load_config
+from .netmodel import Network
 from .solver import SOLVER
 
 
@@ -49,6 +50,18 @@ def _dataset_and_test_set(config: RunConfig) -> tuple[ds.Dataset, ds.Dataset]:
     return data, ds.split(data, config.split)[1]
 
 
+def _load_model(config: RunConfig, network: Network) -> sg.ClusteredSurrogate:
+    """The configured model, if it maps `network`'s [P, Q] to its [v, a]."""
+    path = config.resolve(config.surrogate.model_file)
+    model = sg.load(path)
+    shape, want = model.coef.shape[1:], (2 * network.n_bus, 2 * network.n_loads)
+    if shape != want:
+        raise sg.SurrogateError(f"{path}: model of shape {shape} ([v, a] outputs, [P, Q] "
+                                f"inputs) does not fit network {network.name}, which "
+                                f"needs {want}; retrain")
+    return model
+
+
 def cmd_simulate(config: RunConfig, pure_solver: bool = False) -> None:
     network = config.load_network()
     _, test_set = _dataset_and_test_set(config)
@@ -63,7 +76,7 @@ def cmd_simulate(config: RunConfig, pure_solver: bool = False) -> None:
                                      solver_iterations=s.iterations)
                    for stamp, s in zip(series.timestamps, solutions)]
     else:
-        model = sg.load(config.resolve(config.surrogate.model_file))
+        model = _load_model(config, network)
         truth = (test_set.outputs_v, test_set.outputs_a)
         solutions, records, summary = hybrid.run_series(model, network, series,
                                                         config.hybrid, config.solver,
@@ -84,7 +97,7 @@ def cmd_tune(config: RunConfig, parameter: str, values: list[float],
                             base_config=config.hybrid)
     network = config.load_network()
     data, test_set = _dataset_and_test_set(config)
-    model = sg.load(config.resolve(config.surrogate.model_file))
+    model = _load_model(config, network)
     results = tuning.sweep(spec, model, network, test_set.series(), data.steps_per_day,
                            config.solver)
     out = config.out / f"sweep_{parameter}.csv"

@@ -2,27 +2,24 @@
 
 Before the loop, the surrogate is evaluated for the whole series and the
 input gates (distance percentile, relative load step change) are computed
-as one array. A step goes to the physics solver when its input gate fired,
+as one array. A row goes to the physics solver when its input gate fired,
 the staleness cap is reached or the model's error at the last solve was
-over budget. Each solve is warm-started from the last accepted solution,
-reuses the run's inverted Jacobian (`solver.Chord`) and stores the model's
-error against it for the error check.
+over budget, so `run_series` loops over its solves (`step`) alone and the
+rows between take the model's output in bulk. Each solve is warm-started
+from the row before's accepted output, reuses the run's inverted Jacobian
+(`solver.Chord`) and stores the model's error against it.
 
 Two loops solve every step: `run_pure_solver`, the sequential warm-started
 baseline the hybrid is timed against, and `run_ground_truth`, which solves
 `generate`'s rows in blocks of batched chord passes and certifies each row
-with one Newton call.
-
-`run_series` and `run_pure_solver` can start from a given loop state in
-place of the flat start: `first_row_state` solves a series' first row once,
-cold, and each loop started from that state warm-starts from its solution
-and shares its read-only inverse in a `Chord` holder of its own. `tuning`
-starts its replay and every grid run this way, so the slice's cold start
-is paid once per sweep.
+with one Newton call. `run_series` and `run_pure_solver` can start from
+`first_row_state`, one cold solve of a series' first row, in place of the
+flat start.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import gc
 import math
@@ -46,6 +43,7 @@ DISTANCE = "distance"
 STEP_CHANGE = "step_change"
 ERROR_STALE = "error_stale"
 ERROR_HIGH = "error_high"
+TRIGGERS = (FORCED_FIRST, DISTANCE, STEP_CHANGE, ERROR_STALE, ERROR_HIGH)
 
 # pu; relative load changes are taken against at least this magnitude, so a
 # return from a zero load registers (the smallest generated load is 2.3e-3)
@@ -80,7 +78,6 @@ class HybridConfig:
 class HybridState:
     last_accepted: VoltageSolution | None = None
     last_observed_model_error: float = math.inf
-    steps_since_check: int = 0
     chord: Chord = field(default_factory=Chord)  # used only with warm starts
 
 
@@ -112,41 +109,21 @@ def input_gates(X: np.ndarray, percentile: np.ndarray,
     return gates
 
 
-def step(state: HybridState, prediction: tuple[np.ndarray, np.ndarray, str | None],
+def step(state: HybridState, prediction: tuple[np.ndarray, np.ndarray, str],
          network: Network, p_t: np.ndarray, q_t: np.ndarray, config: HybridConfig,
-         settings: SolverSettings, timestamp: np.datetime64 | None = None
-         ) -> tuple[VoltageSolution, StepRecord, HybridState]:
-    """One timestep: model acceptance or a solve.
-
-    `prediction` is this step's surrogate output and input gate
-    `(v, a, gate)`, the gate from `input_gates`. Updates `state` in place
-    and returns it with the accepted solution and the step's record. The
-    first step always solves; otherwise the attribution order is input
-    gate, staleness, stored error (the decision is the same in any order).
-    """
-    start = time.perf_counter()
+         settings: SolverSettings, timestamp: np.datetime64 | None = None,
+         row: int | None = None) -> tuple[VoltageSolution, StepRecord, HybridState]:
+    """One solve of row `row`, at `timestamp`. `prediction` is `(v, a,
+    trigger)`: the row's model output and the check that fired; `config` is
+    not read. Updates `state` in place (last accepted solution, the model's
+    error against it) and returns it with the solution and the record."""
+    began = time.perf_counter()
     pred_v, pred_a, trigger = prediction
-    if state.last_accepted is None:
-        trigger = FORCED_FIRST
-    elif trigger is None and state.steps_since_check + 1 >= config.max_check_interval:
-        trigger = ERROR_STALE
-    elif trigger is None and state.last_observed_model_error >= config.error_check_threshold:
-        trigger = ERROR_HIGH
-
-    if trigger is not None:
-        solution = _solve(state, network, p_t, q_t, settings)
-        state.last_observed_model_error = eps_inf(pred_v, pred_a, solution.v, solution.a)
-        state.steps_since_check = 0
-        record = StepRecord(timestamp=timestamp, decision=SOLVER,
-                            triggering_check=trigger,
-                            solver_iterations=solution.iterations,
-                            wall_time=time.perf_counter() - start)
-    else:
-        solution = VoltageSolution(v=pred_v, a=pred_a, iterations=0, converged=True)
-        state.steps_since_check += 1
-        record = StepRecord(timestamp=timestamp, decision=MODEL, triggering_check=None,
-                            wall_time=time.perf_counter() - start)
-    state.last_accepted = solution
+    solution = _solve_row(state, network, p_t, q_t, settings, timestamp, row)
+    state.last_observed_model_error = eps_inf(pred_v, pred_a, solution.v, solution.a)
+    record = StepRecord(timestamp=timestamp, decision=SOLVER, triggering_check=trigger,
+                        solver_iterations=solution.iterations,
+                        wall_time=time.perf_counter() - began)
     return solution, record, state
 
 
@@ -158,46 +135,57 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
                ) -> tuple[list[VoltageSolution], list[StepRecord], RunSummary]:
     """Sequential hybrid simulation over a load series.
 
-    ground_truth, when given, is (v, a) matrices aligned with the series;
-    each record then carries the accepted output's error against truth,
-    scored for all steps in one pass after the loop. The first step always
-    solves, from the flat start or, given `start`, warm from its solution
-    and inverse (see `run_pure_solver`).
+    Row 0 solves, from the flat start or warm from `start` (see
+    `run_pure_solver`). After a solve at row t the next is the earliest of
+    the next gated row, t + `max_check_interval` and, if the model's error
+    at t is over budget, t + 1, named in that order. The rows between take
+    the model's output. Each row's wall time is an even share of the time
+    outside solves, plus its solve on a solver row.
+    `ground_truth`, (v, a) matrices aligned with the series, scores every
+    accepted output in one pass after the loop.
     """
     stamps = load_series.timestamps
+    n = load_series.n_steps
     began = time.perf_counter()
     X = np.hstack([load_series.P, load_series.Q])
     pred = sg.evaluate(surrogate, X)
     gates = input_gates(X, pred.percentile, config)
     gates[:1] = FORCED_FIRST  # also when `start` holds a solution
-    # the evaluation and gate time is spread evenly over the steps' wall times
-    share = (time.perf_counter() - began) / max(load_series.n_steps, 1)
     finite = (np.isfinite(pred.v) & np.isfinite(pred.a)).all(axis=1)
     if not finite.all():
         t = int(finite.argmin())
         raise SimulationError(f"non-finite model prediction at {stamps[t]} (row {t})")
+    gated = np.flatnonzero(gates.astype(bool)).tolist() + [n]
     state = _own(start)
-    solutions = []
-    records = []
-    # the loop allocates no reference cycles; pausing the cyclic
-    # collector keeps its pauses out of the per-step wall times
+    solved = {}
+    t = stale = 0  # the row the staleness cap forces after the last solve
+    # the run allocates no reference cycles; pausing the cyclic
+    # collector keeps its pauses out of the measured wall times
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for t in range(load_series.n_steps):
-            try:  # a failure anywhere in the step ends the run naming it
-                prediction = (pred.v[t], pred.a[t], gates[t])
-                solution, record, state = step(state, prediction, network,
-                                               load_series.P[t], load_series.Q[t],
-                                               config, settings, timestamp=stamps[t])
-            except (SimulationError, SingularJacobianError, MetricError) as exc:
-                raise SimulationError(f"{exc} at {stamps[t]} (row {t})") from None
-            record.wall_time += share
-            solutions.append(solution)
-            records.append(record)
+        solutions = [VoltageSolution(v, a, 0, True) for v, a in zip(pred.v, pred.a)]
+        while t < n:
+            if t:  # the warm start: row t-1's accepted output
+                state.last_accepted = solutions[t - 1]
+            trigger = gates[t] or (ERROR_STALE if t == stale else ERROR_HIGH)
+            solutions[t], solved[t], state = step(
+                state, (pred.v[t], pred.a[t], trigger), network, load_series.P[t],
+                load_series.Q[t], config, settings, timestamp=stamps[t], row=t)
+            stale = t + config.max_check_interval
+            if state.last_observed_model_error >= config.error_check_threshold:
+                t += 1
+            else:
+                t = min(gated[bisect.bisect_right(gated, t)], stale)
     finally:
         if gc_was_enabled:
             gc.enable()
+    outside = time.perf_counter() - began - sum(r.wall_time for r in solved.values())
+    share = outside / max(n, 1)
+    for record in solved.values():
+        record.wall_time += share
+    records = [solved.get(t) or StepRecord(stamp, MODEL, None, wall_time=share)
+               for t, stamp in enumerate(stamps)]
     if ground_truth is not None:
         try:
             errors = eps_inf(np.array([s.v for s in solutions]),
@@ -220,8 +208,9 @@ def run_pure_solver(network: Network, load_series: LoadSeries, settings: SolverS
     flat start or, given `start` (`first_row_state` of the row before),
     warm from its solution and inverse; `start` itself is not changed."""
     state = _own(start)
-    return [_solve_row(state, network, load_series, t, settings)
-            for t in range(load_series.n_steps)]
+    rows = zip(load_series.P, load_series.Q, load_series.timestamps)
+    return [_solve_row(state, network, p, q, settings, stamp, t)
+            for t, (p, q, stamp) in enumerate(rows)]
 
 
 def first_row_state(network: Network, load_series: LoadSeries,
@@ -229,7 +218,8 @@ def first_row_state(network: Network, load_series: LoadSeries,
     """The loop state after one cold solve of the series' first row: its
     solution and, with warm starts on, the inverse of its last Jacobian."""
     state = HybridState()
-    _solve_row(state, network, load_series, 0, settings)
+    _solve_row(state, network, load_series.P[0], load_series.Q[0], settings,
+               load_series.timestamps[0], 0)
     return state
 
 
@@ -239,15 +229,13 @@ def _own(start: HybridState | None) -> HybridState:
     return HybridState() if start is None else replace(start, chord=replace(start.chord))
 
 
-def _solve_row(state: HybridState, network: Network, load_series: LoadSeries, t: int,
-               settings: SolverSettings) -> VoltageSolution:
-    """Row t solved by `_solve` and stored as `state`'s last accepted
-    solution; a failure names the row."""
-    try:
-        state.last_accepted = _solve(state, network, load_series.P[t], load_series.Q[t],
-                                     settings)
-    except (SimulationError, SingularJacobianError) as exc:
-        raise SimulationError(f"{exc} at {load_series.timestamps[t]} (row {t})") from None
+def _solve_row(state: HybridState, network: Network, p: np.ndarray, q: np.ndarray,
+               settings: SolverSettings, stamp: np.datetime64 | None,
+               row: int | None) -> VoltageSolution:
+    """Row `row`, at `stamp`, solved (warm from `state`'s last accepted
+    solution and inverse if `settings.warm_start`) and stored in `state`."""
+    guess, chord = (state.last_accepted, state.chord) if settings.warm_start else (None, None)
+    state.last_accepted = _converged(network, p, q, stamp, row, settings, guess, chord)
     return state.last_accepted
 
 
@@ -262,7 +250,7 @@ def run_ground_truth(network: Network, load_series: LoadSeries,
     Newton from the previous row's solution, or from the flat start on the
     first row or when `settings.warm_start` is off.
     """
-    P, Q = load_series.P, load_series.Q
+    P, Q, stamps = load_series.P, load_series.Q, load_series.timestamps
     solutions = []
     for start, v, a, converged in chord_blocks(network, P, Q, settings):
         for r, batch_converged in enumerate(converged.tolist()):
@@ -271,29 +259,22 @@ def run_ground_truth(network: Network, load_series: LoadSeries,
                 guess = VoltageSolution(v=v[r], a=a[r], iterations=0, converged=True)
             else:
                 guess = solutions[-1] if solutions and settings.warm_start else None
-            try:
-                solutions.append(_converged(network, P[t], Q[t], guess, settings))
-            except (SimulationError, SingularJacobianError) as exc:
-                raise SimulationError(f"{exc} at {load_series.timestamps[t]} (row {t})") from None
+            solutions.append(_converged(network, P[t], Q[t], stamps[t], t, settings, guess))
     return solutions
 
 
-def _solve(state: HybridState, network: Network, p: np.ndarray, q: np.ndarray,
-           settings: SolverSettings) -> VoltageSolution:
-    """A converged solve, warm-started from `state`'s last accepted solution
-    and inverted Jacobian when `settings.warm_start` is on."""
-    if settings.warm_start:
-        return _converged(network, p, q, state.last_accepted, settings, state.chord)
-    return _converged(network, p, q, None, settings)
-
-
 def _converged(network: Network, p: np.ndarray, q: np.ndarray,
-               guess: VoltageSolution | None, settings: SolverSettings,
+               stamp: np.datetime64 | None, row: int | None, settings: SolverSettings,
+               guess: VoltageSolution | None = None,
                chord: Chord | None = None) -> VoltageSolution:
-    solution = solve_newton_raphson(network, p, q, guess, settings, chord)
+    """A converged solve of row `row`, at `stamp`; a failure names the row."""
+    try:
+        solution = solve_newton_raphson(network, p, q, guess, settings, chord)
+    except SingularJacobianError as exc:
+        raise SimulationError(f"{exc} at {stamp} (row {row})") from None
     if not solution.converged:
-        raise SimulationError(f"solver did not converge "
-                              f"(max {settings.max_iterations} iterations)")
+        raise SimulationError(f"solver did not converge (max {settings.max_iterations} "
+                              f"iterations) at {stamp} (row {row})")
     return solution
 
 
@@ -311,6 +292,8 @@ def write_records(records: list[StepRecord], path) -> None:
 
 
 def read_records(path) -> list[StepRecord]:
+    """A records CSV. A model row names no check and no iterations; a
+    solver row names a trigger or, from `--pure-solver`, no check."""
     records = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -320,6 +303,9 @@ def read_records(path) -> list[StepRecord]:
         for row in reader:
             try:  # a short or long row fails the unpacking
                 stamp, decision, check, error, iterations = row
+                if not (decision == MODEL and check == iterations == ""
+                        or decision == SOLVER and check in ("", *TRIGGERS)):
+                    raise ValueError
                 records.append(StepRecord(parse_timestamp(stamp), decision, check or None,
                                           float(error) if error else None,
                                           int(iterations) if iterations else None,

@@ -1,14 +1,20 @@
 """Test oracles: slow reference implementations, structurally independent
 of the library code they check."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
+from hybridflow import surrogate as sg
 from hybridflow.dataset import Dataset
-from hybridflow.loadgen import LoadProfileSpec, minute_of_week, mode_table
+from hybridflow.hybrid import (ERROR_HIGH, ERROR_STALE, FORCED_FIRST, HybridConfig,
+                               HybridState, input_gates)
+from hybridflow.loadgen import LoadProfileSpec, LoadSeries, minute_of_week, mode_table
+from hybridflow.metrics import eps_inf
 from hybridflow.netmodel import Network
-from hybridflow.solver import SolverSettings, VoltageSolution
+from hybridflow.solver import (MODEL, SOLVER, Chord, SolverSettings, VoltageSolution,
+                               solve_newton_raphson)
 
 GS_MAX_SWEEPS = 20000
 GS_ACCELERATION = 1.6  # SOR factor; 1.0 recovers plain Gauss-Seidel
@@ -129,3 +135,47 @@ def write_csv_rowwise(dataset: Dataset, path) -> None:
         f.write(",".join(header) + "\r\n")
         f.writelines(row % (stamp, *x) for stamp, x in zip(stamps.tolist(), values.tolist()))
 
+
+def run_series_stepwise(surrogate: sg.ClusteredSurrogate, network: Network,
+                        series: LoadSeries, config: HybridConfig, settings: SolverSettings,
+                        start: HybridState | None = None
+                        ) -> tuple[list[VoltageSolution], list[tuple]]:
+    """The hybrid run as a per-step state machine: every row decides on its
+    own between the model and a warm-started solve, counting the steps since
+    the last solve. Returns the accepted outputs and, per row, its
+    `(decision, triggering_check, solver_iterations)`."""
+    X = np.hstack([series.P, series.Q])
+    pred = sg.evaluate(surrogate, X)
+    gates = input_gates(X, pred.percentile, config)
+    if start is None:
+        accepted, chord = None, Chord()
+    else:  # a holder of its own, sharing the start's read-only inverse
+        accepted, chord = start.last_accepted, replace(start.chord)
+    error, steps_since = math.inf, 0
+    solutions, decisions = [], []
+    for t in range(series.n_steps):
+        trigger = gates[t]
+        if t == 0:
+            trigger = FORCED_FIRST
+        elif trigger is None and steps_since + 1 >= config.max_check_interval:
+            trigger = ERROR_STALE
+        elif trigger is None and error >= config.error_check_threshold:
+            trigger = ERROR_HIGH
+        if trigger is None:
+            accepted = VoltageSolution(v=pred.v[t], a=pred.a[t], iterations=0,
+                                       converged=True)
+            steps_since += 1
+            decisions.append((MODEL, None, None))
+        else:
+            if settings.warm_start:
+                accepted = solve_newton_raphson(network, series.P[t], series.Q[t],
+                                                accepted, settings, chord)
+            else:
+                accepted = solve_newton_raphson(network, series.P[t], series.Q[t], None,
+                                                settings)
+            assert accepted.converged, t
+            error = eps_inf(pred.v[t], pred.a[t], accepted.v, accepted.a)
+            steps_since = 0
+            decisions.append((SOLVER, trigger, accepted.iterations))
+        solutions.append(accepted)
+    return solutions, decisions

@@ -318,6 +318,27 @@ def test_surrogate_empty_cluster_is_one_line_error(workdir, tmp_path, capsys):
                                        f"training rows; retrain")
 
 
+@pytest.mark.parametrize("argv", [["simulate"],
+                                  ["tune", "--parameter", "step_change", "--values", "0.2"]],
+                         ids=["simulate", "tune"])
+def test_model_of_another_network_is_one_line_error(workdir, tmp_path, capsys, argv):
+    # a model fitted to net4: 2 loads and 4 buses, where feeder30 has 29 and 30
+    n_in, n_out = 4, 8
+    other = tmp_path / "net4.npz"
+    sg.save(sg.ClusteredSurrogate(method=sg.NONE, centers=np.zeros((1, n_in)),
+                                  coef=np.zeros((1, n_out, n_in)),
+                                  intercept=np.ones((1, n_out)),
+                                  train_distances=[np.zeros(1)],
+                                  input_mean=np.zeros(n_in), input_scale=np.ones(n_in)),
+            other)
+    config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.npz",
+                          f"model_file: {other}")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), *argv]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {other}: model of shape (8, 4) ([v, a] outputs, [P, Q] inputs) does not "
+        f"fit network feeder30, which needs (60, 58); retrain")
+
+
 @pytest.mark.parametrize("flags", [[], ["--pure-solver"]], ids=["hybrid", "pure_solver"])
 def test_singular_jacobian_is_one_line_error(workdir, tmp_path, capsys, monkeypatch, flags):
     def singular(*args, **kwargs):

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
+from hybridflow import solver
 from hybridflow import surrogate as sg
-from hybridflow.hybrid import (DISTANCE, STEP_CHANGE, HybridConfig, HybridState,
-                               SimulationError, first_row_state, input_gates,
-                               read_records, run_pure_solver, run_series, step,
-                               write_records)
+from hybridflow.hybrid import (DISTANCE, STEP_CHANGE, HybridConfig, SimulationError,
+                               first_row_state, input_gates, read_records,
+                               run_pure_solver, run_series, write_records)
 from hybridflow.loadgen import LoadSeries
 from hybridflow.metrics import eps_inf
 from hybridflow.solver import MODEL, SOLVER, Chord
-from tests.oracles import mode_labels
-from tests.test_solver import x3_step
+from tests.oracles import mode_labels, run_series_stepwise
+from tests.test_solver import load_events, x3_step
 
 
 def constant_series(network, level=0.01, T=64):
@@ -39,19 +41,36 @@ def perfect_surrogate(network, settings, level=0.01):
                                  input_mean=np.zeros(n_in), input_scale=np.ones(n_in))
 
 
-def test_first_step_forces_solver(net4, settings):
-    model = perfect_surrogate(net4, settings)
-    series = constant_series(net4, T=4)
-    pred = sg.evaluate(model, np.hstack([series.P[:1], series.Q[:1]]))
-    state = HybridState()
-    solution, record, state = step(state, (pred.v[0], pred.a[0], None),
-                                   net4, series.P[0], series.Q[0],
-                                   HybridConfig(), settings,
-                                   timestamp=series.timestamps[0])
-    assert record.decision == SOLVER
-    assert record.triggering_check == "forced_first"
-    assert state.steps_since_check == 0
-    assert math.isfinite(state.last_observed_model_error)
+@pytest.fixture(scope="module")
+def small_model(small_dataset):
+    return sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
+
+
+CONFIGS = st.builds(
+    HybridConfig,
+    max_check_interval=st.integers(1, 24),
+    error_check_threshold=st.sampled_from([0.0, math.inf]) | st.floats(1e-8, 1e-2),
+    step_change_threshold=st.none() | st.floats(0.0, 0.3),
+    distance_percentile_threshold=st.none() | st.floats(50.0, 100.0))
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["flat", "start"])
+@pytest.mark.parametrize("events", [False, True], ids=["slice", "load_events"])
+@hyp_settings(max_examples=15, deadline=None)
+@given(config=CONFIGS)
+def test_run_series_matches_the_stepwise_loop(feeder30, small_series, small_model,
+                                              settings, events, started, config):
+    # load_events drives the model off its training range: its audits fire error_high
+    series = load_events(small_series) if events else small_series.rows(0, 96)
+    start = first_row_state(feeder30, series, settings) if started else None
+    solutions, records, _ = run_series(small_model, feeder30, series, config, settings,
+                                       start=start)
+    expected, decisions = run_series_stepwise(small_model, feeder30, series, config,
+                                              settings, start)
+    assert [(r.decision, r.triggering_check, r.solver_iterations)
+            for r in records] == decisions
+    for got, want in zip(solutions, expected, strict=True):
+        assert np.array_equal(got.v, want.v) and np.array_equal(got.a, want.a)
 
 
 def test_perfect_model_accepts_all_non_forced_steps(net4, settings):
@@ -69,13 +88,26 @@ def test_perfect_model_accepts_all_non_forced_steps(net4, settings):
             assert r.model_eps_inf_vs_truth == 0.0
 
 
-def test_step_change_zero_bit_identical_to_pure_solver(feeder30, small_dataset, settings):
+def test_step_change_zero_bit_identical_to_pure_solver(feeder30, small_dataset, settings,
+                                                        monkeypatch):
     test_series = small_dataset.rows(0, 100).series()
     model = sg.train(small_dataset, method=sg.KMEANS, n_c=3, seed=0)
     config = HybridConfig(step_change_threshold=0.0)
+    evaluations = []
+    real_injection = solver._injection
+
+    def injection(*args):
+        evaluations.append(args)
+        return real_injection(*args)
+
+    monkeypatch.setattr(solver, "_injection", injection)
     solutions, records, _ = run_series(model, feeder30, test_series, config, settings)
+    hybrid_evaluations = len(evaluations)
     pure = run_pure_solver(feeder30, test_series, settings)
     assert all(r.decision == SOLVER for r in records)
+    # each solve starts from the previous solve's own solution object, so it
+    # reuses that solve's last evaluation as the sequential loop does
+    assert hybrid_evaluations == len(evaluations) - hybrid_evaluations
     for got, expected in zip(solutions, pure):
         assert np.array_equal(got.v, expected.v)
         assert np.array_equal(got.a, expected.a)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -156,3 +157,35 @@ def test_records_read_back_carry_no_wall_time(tmp_path):
     assert "solver wall time:         not recorded" in text
     assert "model wall time:          not recorded" in text
     assert "model wall time:          0.000 s" in format_summary(summarize(records))
+
+
+@pytest.mark.parametrize("row", [
+    "2024-01-01T00:05:00Z,modle,,0.001,",
+    "2024-01-01T00:05:00Z,,,0.001,",
+    "2024-01-01T00:05:00Z,model,bogus_check,0.001,",
+    "2024-01-01T00:05:00Z,model,error_stale,0.001,",
+    "2024-01-01T00:05:00Z,model,,0.001,3",
+    "2024-01-01T00:05:00Z,solver,bogus_check,0,3",
+    "2024-01-01T00:05:00Z,solver,model,0,3",
+], ids=["decision_misspelt", "decision_empty", "model_bogus_check", "model_with_check",
+        "model_with_iterations", "solver_bogus_check", "solver_check_model"])
+def test_malformed_record_names_its_line(tmp_path, row):
+    path = tmp_path / "records.csv"
+    path.write_text("timestamp,decision,triggering_check,eps_inf,solver_iterations\r\n"
+                    "2024-01-01T00:00:00Z,solver,forced_first,0,3\r\n" + row + "\r\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: malformed record "):
+        read_records(path)
+
+
+@pytest.mark.parametrize("check", ["", "forced_first", "distance", "step_change",
+                                   "error_stale", "error_high"])
+def test_solver_record_checks_read_back(tmp_path, check):
+    path = tmp_path / "records.csv"
+    path.write_text("timestamp,decision,triggering_check,eps_inf,solver_iterations\r\n"
+                    f"2024-01-01T00:00:00Z,solver,{check},0,3\r\n"
+                    "2024-01-01T00:05:00Z,model,,0.001,\r\n")
+    solver, model = read_records(path)
+    assert (solver.decision, solver.triggering_check, solver.solver_iterations) \
+        == ("solver", check or None, 3)
+    assert (model.decision, model.triggering_check, model.solver_iterations) \
+        == ("model", None, None)
