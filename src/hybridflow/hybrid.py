@@ -9,12 +9,12 @@ rows between take the model's output in bulk. Each solve is warm-started
 from the row before's accepted output, reuses the run's inverted Jacobian
 (`solver.Chord`) and stores the model's error against it.
 
-Two loops solve every step: `run_pure_solver`, the sequential warm-started
-baseline the hybrid is timed against, and `run_ground_truth`, which solves
-`generate`'s rows in blocks of batched chord passes and certifies each row
-with one Newton call. `run_series` and `run_pure_solver` can start from
-`first_row_state`, one cold solve of a series' first row, in place of the
-flat start.
+One loop solves every step (`_solve_row` on one state): `run_pure_solver`,
+the sequential warm-started baseline the hybrid is timed against, and
+`run_ground_truth`, which first iterates `generate`'s rows in blocks of
+batched chord passes and then runs that loop from the batch points.
+`run_series` and `run_pure_solver` can start from `first_row_state`, one
+cold solve of a series' first row, in place of the flat start.
 """
 
 from __future__ import annotations
@@ -229,45 +229,36 @@ def _own(start: HybridState | None) -> HybridState:
     return HybridState() if start is None else replace(start, chord=replace(start.chord))
 
 
-def _solve_row(state: HybridState, network: Network, p: np.ndarray, q: np.ndarray,
-               settings: SolverSettings, stamp: np.datetime64 | None,
-               row: int | None) -> VoltageSolution:
-    """Row `row`, at `stamp`, solved (warm from `state`'s last accepted
-    solution and inverse if `settings.warm_start`) and stored in `state`."""
-    guess, chord = (state.last_accepted, state.chord) if settings.warm_start else (None, None)
-    state.last_accepted = _converged(network, p, q, stamp, row, settings, guess, chord)
-    return state.last_accepted
-
-
 def run_ground_truth(network: Network, load_series: LoadSeries,
                      settings: SolverSettings) -> list[VoltageSolution]:
     """Every timestep's power flow, solved in row blocks of batched chord
-    passes (`solver.chord_blocks`), then certified one row at a time.
-
-    Each row gets exactly one `solve_newton_raphson` call, whose
+    passes (`solver.chord_blocks`), then certified in order by the loop of
+    `run_pure_solver`: one `solve_newton_raphson` call per row, whose
     convergence test is the only verdict. A row the batch converged starts
-    from its batch point and returns at iteration 0. Any other row runs full
-    Newton from the previous row's solution, or from the flat start on the
-    first row or when `settings.warm_start` is off.
-    """
+    from its batch point and returns at iteration 0; any other row is
+    solved as in the baseline, from the row before."""
     P, Q, stamps = load_series.P, load_series.Q, load_series.timestamps
+    state = HybridState()
     solutions = []
     for start, v, a, converged in chord_blocks(network, P, Q, settings):
         for r, batch_converged in enumerate(converged.tolist()):
+            point = VoltageSolution(v[r], a[r], 0, True) if batch_converged else None
             t = start + r
-            if batch_converged:
-                guess = VoltageSolution(v=v[r], a=a[r], iterations=0, converged=True)
-            else:
-                guess = solutions[-1] if solutions and settings.warm_start else None
-            solutions.append(_converged(network, P[t], Q[t], stamps[t], t, settings, guess))
+            solutions.append(_solve_row(state, network, P[t], Q[t], settings, stamps[t], t,
+                                        point))
     return solutions
 
 
-def _converged(network: Network, p: np.ndarray, q: np.ndarray,
-               stamp: np.datetime64 | None, row: int | None, settings: SolverSettings,
-               guess: VoltageSolution | None = None,
-               chord: Chord | None = None) -> VoltageSolution:
-    """A converged solve of row `row`, at `stamp`; a failure names the row."""
+def _solve_row(state: HybridState, network: Network, p: np.ndarray, q: np.ndarray,
+               settings: SolverSettings, stamp: np.datetime64 | None, row: int | None,
+               guess: VoltageSolution | None = None) -> VoltageSolution:
+    """Row `row`, at `stamp`, solved and stored in `state`; a failure names
+    the row. It starts from `guess` if given, else from `state`'s last
+    accepted solution with `settings.warm_start` on (using and updating
+    `state`'s inverse) or from the flat start with it off."""
+    chord = state.chord if settings.warm_start else None
+    if guess is None and chord is not None:
+        guess = state.last_accepted
     try:
         solution = solve_newton_raphson(network, p, q, guess, settings, chord)
     except SingularJacobianError as exc:
@@ -275,6 +266,7 @@ def _converged(network: Network, p: np.ndarray, q: np.ndarray,
     if not solution.converged:
         raise SimulationError(f"solver did not converge (max {settings.max_iterations} "
                               f"iterations) at {stamp} (row {row})")
+    state.last_accepted = solution
     return solution
 
 
@@ -292,8 +284,8 @@ def write_records(records: list[StepRecord], path) -> None:
 
 
 def read_records(path) -> list[StepRecord]:
-    """A records CSV. A model row names no check and no iterations; a
-    solver row names a trigger or, from `--pure-solver`, no check."""
+    """A records CSV: a model row names no check or iterations, a solver row a
+    trigger or (`--pure-solver`) none; errors and iterations are finite, >= 0."""
     records = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -304,7 +296,8 @@ def read_records(path) -> list[StepRecord]:
             try:  # a short or long row fails the unpacking
                 stamp, decision, check, error, iterations = row
                 if not (decision == MODEL and check == iterations == ""
-                        or decision == SOLVER and check in ("", *TRIGGERS)):
+                        or decision == SOLVER and check in ("", *TRIGGERS)) \
+                        or not 0 <= float(error or 0) < math.inf or int(iterations or 0) < 0:
                     raise ValueError
                 records.append(StepRecord(parse_timestamp(stamp), decision, check or None,
                                           float(error) if error else None,

@@ -83,6 +83,8 @@ def validate_spec(spec: LoadProfileSpec) -> None:
     """Scalar checks; `mode_table` checks how the modes cover the week."""
     if spec.duration_days < 1:
         raise LoadSpecError("duration_days must be >= 1")
+    if np.isnat(spec.start):
+        raise LoadSpecError("start must be a time, got NaT")
     if spec.n_loads < 1:
         raise LoadSpecError("n_loads must be >= 1")
     if spec.resolution_minutes < 1:

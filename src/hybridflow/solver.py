@@ -21,10 +21,11 @@ returned, so a solve warm-started from that solution skips its first
 evaluation.
 
 The steps of a time series are independent power flows, so `chord_blocks`
-also iterates a block of rows at once from the flat start: one batched
-mismatch and one product with a held inverse per pass, the inverse taken
-at the flat start and once more at the block's mean point. Its rows are
-only guesses; `solve_newton_raphson` judges each one.
+also iterates a block of rows at once from the flat start: per pass, the
+same `_injection` taken over the block's full-bus rows and one product
+with a held inverse, which `_jacobian_at` builds at the flat start and
+once more at the block's mean point. Its rows are only guesses;
+`solve_newton_raphson` judges each one.
 """
 
 from __future__ import annotations
@@ -117,10 +118,13 @@ def power_mismatch(network: Network, p: np.ndarray, q: np.ndarray,
 
 
 def _injection(network: Network, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The injections [P, Q] at the pq buses for bus voltages (v, a)."""
-    V = v * np.exp(1j * a)
-    Sp = V[network.pq_indices] * np.conj(network.Y_pq_rows @ V)
-    return np.concatenate([Sp.real, Sp.imag])
+    """The injections [P, Q] = V conj(Y V) at the pq buses for bus voltages
+    (v, a), one row or a `[rows, n_bus]` batch (hence the index on `V.T`)."""
+    V = np.empty(np.shape(v), dtype=complex)  # cos and sin: faster than exp on a batch
+    np.multiply(v, np.cos(a), out=V.real)
+    np.multiply(v, np.sin(a), out=V.imag)
+    Sp = V.T[network.pq_indices].T * np.conj(V @ network.Y_pq_rows.T)
+    return np.concatenate([Sp.real, Sp.imag], axis=-1)
 
 
 def _jacobian(Y_pp: np.ndarray, Vp: np.ndarray, Sp: np.ndarray) -> np.ndarray:
@@ -172,62 +176,45 @@ def chord_blocks(network: Network, P: np.ndarray, Q: np.ndarray, settings: Solve
     """
     pq = network.pq_indices
     npq = len(pq)
-    # the iterates hold the pq buses only; the slack's 1 pu adds Y[pq, slack]
-    Y_t = network.Y_pq.T
-    slack_current = network.Y[pq, network.slack_index]
 
-    def inverse_at(Vp: np.ndarray) -> np.ndarray | None:
-        Sp = Vp * np.conj(Vp @ Y_t + slack_current)
+    def inverse_at(v: np.ndarray, a: np.ndarray) -> np.ndarray | None:
         try:
-            return np.linalg.inv(_jacobian(network.Y_pq, Vp, Sp))
+            return np.linalg.inv(_jacobian_at(network, v, a, _injection(network, v, a)))
         except np.linalg.LinAlgError:
             return None
 
-    flat_inverse = inverse_at(np.ones(npq, dtype=complex))
+    flat_inverse = inverse_at(*_start(network, None))
     for start in range(0, len(P), BLOCK_ROWS):
         target = _target(network, P[start:start + BLOCK_ROWS], Q[start:start + BLOCK_ROWS])
         n_rows = len(target)
-        v = np.ones((n_rows, npq))
-        a = np.zeros((n_rows, npq))
+        out = np.zeros((n_rows, 2, network.n_bus))  # each row's [a, v] at every bus
+        out[:, 1] = 1.0
         converged = np.zeros(n_rows, dtype=bool)
-        rows = np.arange(n_rows)  # the block's rows still iterating
-        xv, xa = v.copy(), a.copy()  # and their iterates
-        V = np.empty((n_rows, npq), dtype=complex)
+        rows, x = np.arange(n_rows), out.copy()  # the rows still iterating, their iterates
         previous = np.full(n_rows, np.inf)
         inverse = flat_inverse
         for iteration in range(settings.max_iterations + 1):
-            V.real = xv * np.cos(xa)
-            V.imag = xv * np.sin(xa)
-            Sp = V * np.conj(V @ Y_t + slack_current)
-            mismatch = target - np.hstack([Sp.real, Sp.imag])
+            mismatch = target - _injection(network, x[:, 1], x[:, 0])
             worst = np.abs(mismatch).max(axis=1)
             done = worst <= settings.mismatch_tolerance
-            v[rows[done]] = xv[done]
-            a[rows[done]] = xa[done]
+            out[rows[done]] = x[done]
             converged[rows[done]] = True
             keep = ~done & np.isfinite(worst) & (worst <= 0.5 * previous)
             if iteration == settings.max_iterations or not keep.any():
                 break
-            rows, xv, xa, target = rows[keep], xv[keep], xa[keep], target[keep]
-            V, mismatch = V[keep], mismatch[keep]
+            rows, x, target, mismatch = rows[keep], x[keep], target[keep], mismatch[keep]
             # pass 1, on the flat-start inverse, only carries the rows towards
             # the mean point (at 1000 buses it grows most rows' mismatch), so
             # halving is asked of the passes on the mean-point inverse
             previous = worst[keep] if iteration else previous[keep]
             if iteration == 1:
-                inverse = inverse_at(xv.mean(axis=0) * np.exp(1j * xa.mean(axis=0)))
+                inverse = inverse_at(x[:, 1].mean(axis=0), x[:, 0].mean(axis=0))
             if inverse is None:
                 break
-            dx = mismatch @ inverse.T
-            xa += dx[:, :npq]
-            xv += dx[:, npq:]
-        yield start, _full_bus(network, v, 1.0), _full_bus(network, a, 0.0), converged
-
-
-def _full_bus(network: Network, pq_values: np.ndarray, slack_value: float) -> np.ndarray:
-    out = np.full((len(pq_values), network.n_bus), slack_value)
-    out[:, network.pq_indices] = pq_values
-    return out
+            dx = np.zeros_like(x)  # 0 at the slack: an indexed `+=` took 3x as long
+            dx[:, :, pq] = (mismatch @ inverse.T).reshape(-1, 2, npq)
+            x += dx
+        yield start, out[:, 1], out[:, 0], converged
 
 
 def solve_newton_raphson(network: Network, p: np.ndarray, q: np.ndarray,
@@ -339,7 +326,5 @@ def _jacobian_at(network: Network, v: np.ndarray, a: np.ndarray,
                  injection: np.ndarray) -> np.ndarray:
     """The Jacobian at (v, a), whose injections are `injection`."""
     pq = network.pq_indices
-    Sp = np.empty(len(pq), dtype=complex)
-    Sp.real = injection[:len(pq)]
-    Sp.imag = injection[len(pq):]
+    Sp = injection[:len(pq)] + 1j * injection[len(pq):]
     return _jacobian(network.Y_pq, v[pq] * np.exp(1j * a[pq]), Sp)

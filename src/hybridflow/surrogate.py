@@ -248,7 +248,11 @@ def load(path) -> ClusteredSurrogate:
     """The model `save` wrote at `path`; each failure is one SurrogateError naming it."""
     fields = dict(zip(ARCHIVE_ARRAYS, read_archive(path, FORMAT_NAME, FORMAT_VERSION,
                                                    ARCHIVE_ARRAYS, SurrogateError, "retrain")))
-    flat, sizes, n_c = fields["train_distances"], fields["train_sizes"], len(fields["centers"])
+    shapes = {name: fields[name].shape for name in ARCHIVE_ARRAYS[1:6]}  # centers ... input_scale
+    n_c, n_out, k = (shapes["coef"] + (None,) * 3)[:3]  # coef is [n_c, 2*n_v, 2*n_p]
+    if list(shapes.values()) != [(n_c, k), (n_c, n_out, k), (n_c, n_out), (k,), (k,)]:
+        raise SurrogateError(f"{path}: array shapes {shapes} do not agree; retrain")
+    flat, sizes = fields["train_distances"], fields["train_sizes"]
     if (flat.ndim != 1 or sizes.ndim != 1 or sizes.dtype.kind not in "iu" or len(sizes) != n_c
             or (sizes < 0).any() or sizes.sum() != flat.size):
         raise SurrogateError(f"{path}: train_sizes {sizes.tolist()} do not split "

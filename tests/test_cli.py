@@ -250,6 +250,7 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
     ("resolution_minutes: 30", "resolution_minutes: -5", {}, ["generate"]),
     ("  seed: 5\n", "  seed: 5\n  noise_scale: .nan\n", {}, ["generate"]),
     ("  seed: 5\n", "  seed: 5\n  base_level: -0.01\n", {}, ["generate"]),
+    ("  seed: 5\n", '  seed: 5\n  start: "NaT"\n', {}, ["generate"]),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
                   "--calibration-days", "0"]),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
@@ -267,9 +268,9 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
         "step_change_negative", "step_change_nan", "distance_negative", "tolerance_nan",
         "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
         "zero_impedance", "bus_without_id", "resolution_zero", "resolution_negative",
-        "noise_nan", "base_level_negative", "calibration_days", "calibration_days_negative",
-        "calibration_days_negative_spaced", "bin_width_zero", "records_short_row", "clip_inf",
-        "bin_width_nan"])
+        "noise_nan", "base_level_negative", "start_nat", "calibration_days",
+        "calibration_days_negative", "calibration_days_negative_spaced", "bin_width_zero",
+        "records_short_row", "clip_inf", "bin_width_nan"])
 def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -299,6 +300,22 @@ def test_surrogate_missing_key_is_one_line_error(workdir, tmp_path, capsys):
     assert main(["--config", str(config), "--out", str(tmp_path / "out"),
                  "simulate"]) == 1
     assert _one_error_line(capsys) == f"error: {damaged}: missing entry 'coef'; retrain"
+
+
+@pytest.mark.parametrize("name, width", [("centers", 4), ("intercept", 10)])
+def test_surrogate_of_mismatched_widths_is_one_line_error(workdir, tmp_path, capsys, name,
+                                                          width):
+    def narrowed(fields):
+        fields[name] = fields[name][:, :width]
+
+    damaged = _damaged_model(workdir, tmp_path, narrowed)
+    config = _config_with(workdir, tmp_path, f"model_file: {workdir / 'out'}/surrogate.npz",
+                          f"model_file: {damaged}")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"),
+                 "simulate"]) == 1
+    line = _one_error_line(capsys)
+    assert line.startswith(f"error: {damaged}: array shapes ")
+    assert f"'{name}': (3, {width})" in line and line.endswith(" do not agree; retrain")
 
 
 def test_surrogate_empty_cluster_is_one_line_error(workdir, tmp_path, capsys):

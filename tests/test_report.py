@@ -167,8 +167,14 @@ def test_records_read_back_carry_no_wall_time(tmp_path):
     "2024-01-01T00:05:00Z,model,,0.001,3",
     "2024-01-01T00:05:00Z,solver,bogus_check,0,3",
     "2024-01-01T00:05:00Z,solver,model,0,3",
+    "2024-01-01T00:05:00Z,model,,nan,",
+    "2024-01-01T00:05:00Z,model,,-inf,",
+    "2024-01-01T00:05:00Z,model,,inf,",
+    "2024-01-01T00:05:00Z,solver,error_stale,-0.001,3",
+    "2024-01-01T00:05:00Z,solver,error_stale,0,-3",
 ], ids=["decision_misspelt", "decision_empty", "model_bogus_check", "model_with_check",
-        "model_with_iterations", "solver_bogus_check", "solver_check_model"])
+        "model_with_iterations", "solver_bogus_check", "solver_check_model", "error_nan",
+        "error_minus_inf", "error_inf", "error_negative", "iterations_negative"])
 def test_malformed_record_names_its_line(tmp_path, row):
     path = tmp_path / "records.csv"
     path.write_text("timestamp,decision,triggering_check,eps_inf,solver_iterations\r\n"

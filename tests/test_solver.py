@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hybridflow import loadgen, solver
+from hybridflow import hybrid, loadgen, solver
 from hybridflow.hybrid import (HybridConfig, HybridState, SimulationError,
                               run_ground_truth, run_pure_solver, step)
 from hybridflow.loadgen import LoadSeries
@@ -109,6 +109,28 @@ def test_flat_profile_residual_equals_negated_load(feeder30):
             expected[row] = -p[load_pos[bus]]
             expected[row + len(pq)] = -q[load_pos[bus]]
     assert np.allclose(residual, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["net4", "feeder30"])
+def test_batched_mismatch_matches_the_rows(name, request, settings):
+    network = request.getfixturevalue(name)
+    rng = np.random.default_rng(8)
+    P = rng.uniform(0.001, 0.015, (40, network.n_loads))
+    Q = 0.3 * P
+    solutions = [solve_newton_raphson(network, p, q, None, settings) for p, q in zip(P, Q)]
+    # even rows at their solutions, odd rows 1% off them (a large mismatch)
+    v = np.array([s.v for s in solutions]) * (1.0 + 0.01 * rng.standard_normal((40, 1)))
+    a = np.array([s.a for s in solutions]) + 0.01 * rng.standard_normal((40, 1))
+    v[::2], a[::2] = [s.v for s in solutions[::2]], [s.a for s in solutions[::2]]
+    rows = np.array([power_mismatch(network, *x) for x in zip(P, Q, v, a)])
+    # the batch's product sums in another order than a row's: they agree
+    # within the round-off of a dot product over the buses
+    round_off = network.n_bus * np.finfo(float).eps * np.abs(network.Y).max()
+    np.testing.assert_allclose(power_mismatch(network, P, Q, v, a), rows, rtol=0,
+                               atol=round_off)
+    for t in range(0, 40, 7):  # a batch of one row keeps the row's bits
+        one, = power_mismatch(network, P[t:t + 1], Q[t:t + 1], v[t:t + 1], a[t:t + 1])
+        assert np.array_equal(one, rows[t])
 
 
 def test_perturbed_solution_increases_residual(feeder30, settings):
@@ -431,8 +453,29 @@ def test_ground_truth_matches_the_sequential_replay(feeder30, small_series, sett
         feeder30, series.P, series.Q, settings)])
     iterations = np.array([x.iterations for x in truth])
     assert (iterations[batch_converged] == 0).all()  # certified where they stand
-    assert (iterations[~batch_converged] > 0).all()  # full Newton from row t-1
+    assert (iterations[~batch_converged] > 0).all()  # solved warm from row t-1
     assert (~batch_converged).any() == events
+
+
+def test_ground_truth_stalled_rows_take_chord_steps(feeder30, small_series, settings,
+                                                   monkeypatch):
+    # rows the batch leaves unconverged are solved by the baseline's loop:
+    # the first by full Newton, which leaves its inverse with the loop's
+    # holder, the later ones by chord steps on it
+    series = load_events(small_series)
+    holders = []
+    real = hybrid.solve_newton_raphson
+
+    def spy(*args):
+        holders.append(args[5])
+        return real(*args)
+
+    monkeypatch.setattr(hybrid, "solve_newton_raphson", spy)
+    truth = run_ground_truth(feeder30, series, settings)
+    stalled = [t for t, x in enumerate(truth) if x.iterations > 0]
+    assert len(holders) == series.n_steps and len(stalled) > 1
+    assert all(chord is holders[0] for chord in holders)
+    assert 1 <= holders[0].inversions < len(stalled)
 
 
 def test_ground_truth_cold_fallback_starts_flat(feeder30, small_series):
