@@ -114,7 +114,6 @@ def cmd_report(config: RunConfig, records_path, bin_width: float, clip: float) -
     errors = report.step_errors(records)
     hist = report.histogram(errors, bin_width=bin_width, clip=clip)
     report.write_histogram(hist, out / "error_histogram.csv")
-    report.write_error_series(records, None, out / "error_series.csv")
     print(report.format_summary(summary))
 
 

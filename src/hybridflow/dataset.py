@@ -54,10 +54,6 @@ class Dataset:
         return self.inputs.shape[1] // 2
 
     @property
-    def n_voltages(self) -> int:
-        return self.outputs_v.shape[1]
-
-    @property
     def steps_per_day(self) -> int:
         """Steps per day, from the first step; the others equal it."""
         if self.n_steps < 2:
@@ -115,19 +111,15 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return dataset.rows(a, b), dataset.rows(b, c)
 
 
-def format_timestamp(t: np.datetime64) -> str:
-    """ISO-8601 UTC to the second, as written in every CSV: 2024-01-01T00:05:00Z."""
-    return format_timestamps([t])[0]
-
-
 def format_timestamps(stamps) -> list[str]:
-    """`format_timestamp` of each stamp, by one numpy call for them all."""
+    """Each stamp in ISO-8601 UTC to the second, as written in every CSV
+    (2024-01-01T00:05:00Z), by one numpy call for them all."""
     text = np.datetime_as_string(np.asarray(stamps, dtype="datetime64[s]"), unit="s")
     return np.char.add(text, "Z").tolist()
 
 
 def parse_timestamp(text: str) -> np.datetime64:
-    """Inverse of format_timestamp; raises ValueError on a malformed stamp."""
+    """Inverse of format_timestamps for one stamp; raises ValueError on a malformed stamp."""
     stamp = np.datetime64(text.rstrip("Z"), "s")
     if np.isnat(stamp):  # numpy reads an empty cell or 'NaT' as not-a-time
         raise ValueError(f"not a timestamp: {text!r}")
@@ -350,7 +342,7 @@ def _checked(path, ts, inputs, outputs_v, outputs_a) -> Dataset:
     nat = np.isnat(ts)  # write_csv writes a not-a-time as 'NaTZ'
     if nat.any():
         t = int(nat.argmax())
-        raise DatasetError(f"{path}:{t + 2}: bad timestamp {format_timestamp(ts[t])!r}")
+        raise DatasetError(f"{path}:{t + 2}: bad timestamp {format_timestamps(ts[t:t + 1])[0]!r}")
     blocks = (inputs, outputs_v, outputs_a)
     if not all(np.isfinite(block).all() for block in blocks):
         # the first bad row, then its first bad column

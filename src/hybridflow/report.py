@@ -1,7 +1,7 @@
 """Run summaries and plot-ready error distribution files.
 
-No plots are rendered here; histogram bins and per-step error series are
-emitted as CSVs for external plotting tools.
+No plots are rendered here; histogram bins are emitted as a CSV for
+external plotting tools, and `records.csv` is the per-step error series.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import format_timestamps
 from .solver import MODEL, SOLVER
 
 if TYPE_CHECKING:
@@ -33,11 +32,9 @@ class RunSummary:
     max_eps_inf: float
     fraction_above_threshold: float
     threshold: float
-    wall_time_solver: float | None        # the four times are None when any
+    wall_time_solver: float | None        # the two times are None when any
     wall_time_model: float | None         # record carries no wall time
     mean_solver_iterations: float
-    mean_step_time_solver: float | None
-    mean_step_time_model: float | None
 
 
 def step_errors(records: list[StepRecord]) -> np.ndarray:
@@ -72,25 +69,14 @@ def summarize(records: list[StepRecord], threshold: float = 0.01) -> RunSummary:
         wall_time_solver=solver_time,
         wall_time_model=model_time,
         mean_solver_iterations=(float(np.mean(iterations)) if iterations else 0.0),
-        mean_step_time_solver=_mean_time(solver_time, len(solver_steps)),
-        mean_step_time_model=_mean_time(model_time, len(model_steps)),
     )
-
-
-def _mean_time(total: float | None, count: int) -> float | None:
-    if total is None:
-        return None
-    return total / count if count else 0.0
 
 
 @dataclass
 class Histogram:
     edges: np.ndarray        # bin edges on [0, clip)
     counts: np.ndarray
-    clipped_fraction: float
     clipped_count: int
-    max_value: float
-    total: int
 
 
 def histogram(errors: np.ndarray, bin_width: float, clip: float) -> Histogram:
@@ -107,13 +93,7 @@ def histogram(errors: np.ndarray, bin_width: float, clip: float) -> Histogram:
     edges = np.arange(n_bins + 1) * bin_width
     in_range = errors[errors < clip]
     counts, _ = np.histogram(in_range, bins=edges)
-    clipped = int(np.sum(errors >= clip))
-    total = len(errors)
-    return Histogram(edges=edges, counts=counts,
-                     clipped_fraction=(clipped / total if total else 0.0),
-                     clipped_count=clipped,
-                     max_value=(float(np.max(errors)) if total else 0.0),
-                     total=total)
+    return Histogram(edges=edges, counts=counts, clipped_count=int(np.sum(errors >= clip)))
 
 
 def write_summary(summary: RunSummary, path) -> None:
@@ -155,19 +135,3 @@ def write_histogram(hist: Histogram, path) -> None:
     rows = [[lo, hi, int(c)] for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts)]
     write_table(path, ["bin_lo", "bin_hi", "count"],
                 rows + [["clipped", None, hist.clipped_count]])
-    meta = {"clipped_fraction": hist.clipped_fraction, "max_value": hist.max_value,
-            "total": hist.total}
-    with open(str(path) + ".meta.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def write_error_series(records: list[StepRecord], cluster_labels, path) -> None:
-    """Per-step error time series with cluster labels, for error-vs-time plots."""
-    if cluster_labels is not None and len(cluster_labels) != len(records):
-        raise ReportError("cluster_labels length does not match records")
-    stamps = format_timestamps([r.timestamp for r in records])
-    write_table(path, ["timestamp", "decision", "eps_inf", "cluster"],
-                ([stamp, r.decision, r.model_eps_inf_vs_truth,
-                  None if cluster_labels is None else int(cluster_labels[i])]
-                 for i, (stamp, r) in enumerate(zip(stamps, records))))

@@ -20,7 +20,6 @@ from .loadgen import MINUTES_PER_DAY, minute_of_week
 
 KMEANS = "kmeans"
 DAY_OF_WEEK = "day_of_week"
-NONE = "none"
 
 FORMAT_NAME = "hybridflow-surrogate"
 FORMAT_VERSION = 3
@@ -46,7 +45,7 @@ class Evaluation:
 
 @dataclass
 class ClusteredSurrogate:
-    method: str                    # "kmeans", "day_of_week", or "none"
+    method: str                    # "kmeans" or "day_of_week"
     centers: np.ndarray            # [n_c, 2*n_p], in standardized space
     coef: np.ndarray               # [n_c, 2*n_v, 2*n_p]; rows [:n_v] -> v, [n_v:] -> a
     intercept: np.ndarray          # [n_c, 2*n_v]; zeros when fit without one
@@ -163,8 +162,9 @@ def cluster_day_of_week(timestamps: np.ndarray) -> np.ndarray:
 
 def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
           intercept: bool = True, standardize: bool = True) -> ClusteredSurrogate:
-    """Fit a clustered surrogate on a training dataset: one cluster for
-    `none`, one per weekday present for `day_of_week`, `n_c` for `kmeans`."""
+    """Fit a clustered surrogate on a training dataset: `n_c` clusters for
+    `kmeans` (one cluster for the unclustered model), one per weekday
+    present for `day_of_week`."""
     if dataset.n_steps == 0:
         raise SurrogateError("empty training dataset")
     X = dataset.inputs
@@ -176,19 +176,15 @@ def train(dataset: Dataset, method: str = KMEANS, n_c: int = 7, seed: int = 0,
         mean, scale = np.zeros(X.shape[1]), np.ones(X.shape[1])
     Xs = (X - mean) / scale
 
-    centers = None  # none and day_of_week center each cluster at its mean
-    if method == NONE:
-        labels = np.zeros(dataset.n_steps, dtype=int)
-    elif method == DAY_OF_WEEK:
+    if method == DAY_OF_WEEK:  # each weekday's cluster centred at its mean
         _, labels = np.unique(cluster_day_of_week(dataset.timestamps), return_inverse=True)
+        n_c = labels.max() + 1
+        centers = np.array([Xs[labels == k].mean(axis=0) for k in range(n_c)])
     elif method == KMEANS:
         fit = kmeans(Xs, n_c, seed=seed)
         centers, labels = fit.centers, fit.assignments
     else:
         raise SurrogateError(f"unknown clustering method {method!r}")
-    if centers is None:
-        n_c = labels.max() + 1
-        centers = np.array([Xs[labels == k].mean(axis=0) for k in range(n_c)])
 
     Y = np.hstack([dataset.outputs_v, dataset.outputs_a])
     coef = np.empty((n_c, Y.shape[1], Xs.shape[1]))

@@ -112,16 +112,15 @@ def sweep(spec: SweepSpec, surrogate: ClusteredSurrogate, network: Network,
     for value in spec.values:
         for value2 in spec.values2 or [None]:
             config = config_for(spec, value, value2)
-            _, records, _ = run_series(surrogate, network, series, config, settings,
-                                       ground_truth=truth, start=start)
-            errors = step_errors(records)
-            q25, q50, q75 = np.percentile(errors, [25, 50, 75])
-            max_eps = float(np.max(errors))
+            _, records, summary = run_series(surrogate, network, series, config, settings,
+                                             ground_truth=truth, start=start)
+            q25, q50, q75 = np.percentile(step_errors(records), [25, 50, 75])
             points.append(SweepPoint(
                 parameter=spec.parameter, value=value, value2=value2,
-                q25=float(q25), q50=float(q50), q75=float(q75), max_eps=max_eps,
-                model_fraction=float(np.mean([r.decision == "model" for r in records])),
-                extreme=max_eps > 10.0 * spec.base_config.error_check_threshold))
+                q25=float(q25), q50=float(q50), q75=float(q75),
+                max_eps=summary.max_eps_inf,
+                model_fraction=summary.avoided_solves_fraction,
+                extreme=summary.max_eps_inf > 10.0 * spec.base_config.error_check_threshold))
     return points
 
 

@@ -124,7 +124,7 @@ def scaled_spec(spec: LoadProfileSpec, factor: float) -> LoadProfileSpec:
 def write_csv_rowwise(dataset: Dataset, path) -> None:
     """Reference dataset writer: one Python '%' format per row, every value
     cell '%+.16e'."""
-    n_p, n_v = dataset.n_loads, dataset.n_voltages
+    n_p, n_v = dataset.n_loads, dataset.outputs_v.shape[1]
     header = ["timestamp"] + [f"{name}_{i}" for name, n in (("p", n_p), ("q", n_p),
                                                             ("v", n_v), ("a", n_v))
                               for i in range(n)]

@@ -58,7 +58,7 @@ def test_generate_writes_dataset(workdir):
     data = ds.read_csv(workdir / "out" / "dataset.csv")
     assert data.n_steps == 6 * 48
     assert data.n_loads == 29
-    assert data.n_voltages == 30
+    assert data.outputs_v.shape[1] == 30
 
 
 def test_generate_reproducible(workdir, tmp_path):
@@ -73,23 +73,6 @@ def test_train_writes_model(workdir):
     model = sg.load(workdir / "out" / "surrogate.npz")
     assert model.method == "kmeans"
     assert model.n_c == 3
-
-
-def test_train_none_equals_single_cluster(workdir, tmp_path):
-    base = CONFIG_TEMPLATE.format(out=tmp_path / "o1").replace(
-        "method: kmeans", "method: none")
-    (tmp_path / "c1.yaml").write_text(base)
-    single = CONFIG_TEMPLATE.format(out=tmp_path / "o2").replace("n_clusters: 3",
-                                                                 "n_clusters: 1")
-    (tmp_path / "c2.yaml").write_text(single)
-    for name in ("c1", "c2"):
-        assert main(["--config", str(tmp_path / f"{name}.yaml"), "generate"]) == 0
-        assert main(["--config", str(tmp_path / f"{name}.yaml"), "train"]) == 0
-    m_none = sg.load(tmp_path / "o1" / "surrogate.npz")
-    m_one = sg.load(tmp_path / "o2" / "surrogate.npz")
-    assert m_none.n_c == m_one.n_c == 1
-    assert np.allclose(m_none.centers, m_one.centers)
-    assert np.allclose(m_none.coef, m_one.coef)
 
 
 def test_simulate_hybrid(workdir, capsys):
@@ -251,6 +234,8 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
     ("  seed: 5\n", "  seed: 5\n  noise_scale: .nan\n", {}, ["generate"]),
     ("  seed: 5\n", "  seed: 5\n  base_level: -0.01\n", {}, ["generate"]),
     ("  seed: 5\n", '  seed: 5\n  start: "NaT"\n', {}, ["generate"]),
+    ("method: kmeans\n  n_clusters: 3\n  seed: 3\n  model_file: {out}",
+     "method: none\n  n_clusters: 3\n  seed: 3\n  model_file: {tmp}", {}, ["train"]),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
                   "--calibration-days", "0"]),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
@@ -268,13 +253,16 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
         "step_change_negative", "step_change_nan", "distance_negative", "tolerance_nan",
         "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
         "zero_impedance", "bus_without_id", "resolution_zero", "resolution_negative",
-        "noise_nan", "base_level_negative", "start_nat", "calibration_days",
+        "noise_nan", "base_level_negative", "start_nat", "method_none", "calibration_days",
         "calibration_days_negative", "calibration_days_negative_spaced", "bin_width_zero",
         "records_short_row", "clip_inf", "bin_width_nan"])
 def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    paths = {"out": workdir / "out", "tmp": tmp_path}
+    # `generate` writes to the configured dataset path, which --out does not
+    # redirect: a case that wrongly succeeds must not overwrite the shared dataset
+    out = tmp_path / "out" if argv[0] == "generate" else workdir / "out"
+    paths = {"out": out, "tmp": tmp_path}
     config = tmp_path / "run.yaml"
     config.write_text(CONFIG_TEMPLATE.replace(old, new).format(**paths))
     argv = [arg.format(**paths) for arg in argv]
@@ -342,7 +330,7 @@ def test_model_of_another_network_is_one_line_error(workdir, tmp_path, capsys, a
     # a model fitted to net4: 2 loads and 4 buses, where feeder30 has 29 and 30
     n_in, n_out = 4, 8
     other = tmp_path / "net4.npz"
-    sg.save(sg.ClusteredSurrogate(method=sg.NONE, centers=np.zeros((1, n_in)),
+    sg.save(sg.ClusteredSurrogate(method=sg.KMEANS, centers=np.zeros((1, n_in)),
                                   coef=np.zeros((1, n_out, n_in)),
                                   intercept=np.ones((1, n_out)),
                                   train_distances=[np.zeros(1)],
@@ -416,7 +404,8 @@ split:
   train_days: 12
   test_days: 1
 surrogate:
-  method: none
+  method: kmeans
+  n_clusters: 1
   model_file: {out}/surrogate.npz
 output_dir: {out}
 """
@@ -505,13 +494,23 @@ def test_tune_rejects_second_grid_on_a_1d_sweep(workdir, capsys):
     assert "1-D sweep of 'step_change'" in capsys.readouterr().err
 
 
-def test_report_from_records(workdir, capsys):
+def test_report_from_records(workdir, tmp_path, capsys):
     config = workdir / "run.yaml"
-    records = workdir / "out" / "records.csv"
-    assert main(["--config", str(config), "report", "--records", str(records)]) == 0
-    assert (workdir / "out" / "error_histogram.csv").exists()
-    assert (workdir / "out" / "error_series.csv").exists()
+    sim, out = tmp_path / "sim", tmp_path / "report"
+    assert main(["--config", str(config), "--out", str(sim), "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config), "--out", str(out), "report", "--records",
+                 str(sim / "records.csv")]) == 0
     assert "median eps_inf" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["error_histogram.csv",
+                                                     "report_summary.json"]
+    # the histogram's row total and the largest error follow from the two files
+    summary = json.loads((out / "report_summary.json").read_text())
+    rows = (out / "error_histogram.csv").read_text().splitlines()[1:]
+    assert sum(int(row.split(",")[2]) for row in rows) == summary["n_steps"]
+    records = read_records(sim / "records.csv")
+    assert summary["max_eps_inf"] == max(r.model_eps_inf_vs_truth for r in records
+                                         if r.decision == "model")
 
 
 def test_report_keeps_the_simulate_summary(workdir):

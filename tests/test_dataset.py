@@ -341,7 +341,7 @@ def _dataset_reader(tmp_path):
 
 def _model_reader(tmp_path):
     path = tmp_path / "m.npz"
-    sg.save(sg.train(make_data(), method=sg.NONE), path)
+    sg.save(sg.train(make_data(), method=sg.KMEANS, n_c=1), path)
     return path, path, sg.load, SurrogateError, "retrain"
 
 

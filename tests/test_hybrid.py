@@ -34,7 +34,7 @@ def perfect_surrogate(network, settings, level=0.01):
     assert sol.converged
     x = np.concatenate([series.P[0], series.Q[0]])
     n_in, n_v = len(x), network.n_bus
-    return sg.ClusteredSurrogate(method=sg.NONE, centers=x[None, :],
+    return sg.ClusteredSurrogate(method=sg.KMEANS, centers=x[None, :],
                                  coef=np.zeros((1, 2 * n_v, n_in)),
                                  intercept=np.concatenate([sol.v, sol.a])[None, :],
                                  train_distances=[np.zeros(1)],

@@ -5,11 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from hybridflow.dataset import format_timestamp, format_timestamps
+from hybridflow.dataset import format_timestamps
 from hybridflow.hybrid import StepRecord, read_records, write_records
-from hybridflow.report import (ReportError, format_summary, histogram,
-                               step_errors, summarize, write_error_series,
-                               write_histogram, write_summary)
+from hybridflow.report import (ReportError, format_summary, histogram, step_errors,
+                               summarize, write_histogram, write_summary)
 
 
 def record(t, decision, eps=None, iters=None):
@@ -49,7 +48,9 @@ def test_summary_fields():
     assert summary.max_eps_inf == 0.02
     assert summary.mean_solver_iterations == 3.0
     assert summary.median_eps_inf == float(np.median([0.0, 0.005, 0.02, 0.0]))
-    assert summary.mean_step_time_solver > summary.mean_step_time_model
+    # two steps of each kind: 1 ms per solver step, 0.1 ms per model step
+    assert summary.wall_time_solver == pytest.approx(2 * 0.001)
+    assert summary.wall_time_model == pytest.approx(2 * 0.0001)
 
 
 def test_empty_records_rejected():
@@ -66,14 +67,13 @@ def test_histogram_all_zero():
     hist = histogram(np.zeros(50), bin_width=0.001, clip=0.01)
     assert hist.counts[0] == 50
     assert hist.counts[1:].sum() == 0
-    assert hist.clipped_fraction == 0.0
+    assert hist.clipped_count == 0
 
 
 def test_histogram_clipping():
     hist = histogram(np.array([0.5, 1.5]), bin_width=0.1, clip=1.0)
     assert hist.counts.sum() == 1
-    assert hist.clipped_fraction == 0.5
-    assert hist.max_value == 1.5
+    assert hist.clipped_count == 1
 
 
 def test_histogram_counts_conserved():
@@ -105,22 +105,11 @@ def test_write_summary_and_histogram(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["bin_lo", "bin_hi", "count"]
     assert rows[-1][0] == "clipped"
-    meta = json.loads((tmp_path / "h.csv.meta.json").read_text())
-    assert meta["total"] == 2
+    assert sum(int(row[2]) for row in rows[1:]) == summary.n_steps  # bins and clipped row
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "s.json"]
 
     text = format_summary(summary)
     assert "avoided solves" in text
-
-
-def test_error_series_with_clusters(tmp_path):
-    records = [record(0, "solver", iters=2), record(1, "model", eps=0.003)]
-    write_error_series(records, [0, 1], tmp_path / "e.csv")
-    with open(tmp_path / "e.csv") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["timestamp", "decision", "eps_inf", "cluster"]
-    assert rows[2][3] == "1"
-    with pytest.raises(ReportError):
-        write_error_series(records, [0], tmp_path / "bad.csv")
 
 
 def test_stamp_columns_match_per_row_formatting(tmp_path):
@@ -130,14 +119,11 @@ def test_stamp_columns_match_per_row_formatting(tmp_path):
               np.datetime64("2031-07-04T12:30:15", "ms")]
     per_row = [np.datetime_as_string(t, unit="s") + "Z" for t in stamps]
     assert format_timestamps(stamps) == per_row
-    assert [format_timestamp(t) for t in stamps] == per_row
     records = [StepRecord(timestamp=t, decision="model", triggering_check=None,
                           model_eps_inf_vs_truth=0.0) for t in stamps]
     write_records(records, tmp_path / "records.csv")
-    write_error_series(records, None, tmp_path / "error_series.csv")
-    for name in ("records.csv", "error_series.csv"):
-        with open(tmp_path / name, newline="") as f:
-            assert [row[0] for row in list(csv.reader(f))[1:]] == per_row
+    with open(tmp_path / "records.csv", newline="") as f:
+        assert [row[0] for row in list(csv.reader(f))[1:]] == per_row
 
 
 def test_records_read_back_carry_no_wall_time(tmp_path):
@@ -145,13 +131,12 @@ def test_records_read_back_carry_no_wall_time(tmp_path):
                record(2, "model", eps=0.001)]
     write_records(records, tmp_path / "records.csv")
     lines = (tmp_path / "records.csv").read_text().splitlines()
-    assert [line.split(",")[0] for line in lines[1:]] == [
-        format_timestamp(r.timestamp) for r in records]
+    assert [line.split(",")[0] for line in lines[1:]] == format_timestamps(
+        [r.timestamp for r in records])
     loaded = read_records(tmp_path / "records.csv")
     assert [r.wall_time for r in loaded] == [None] * 3
     summary = summarize(loaded)
     assert summary.wall_time_solver is None and summary.wall_time_model is None
-    assert summary.mean_step_time_solver is None and summary.mean_step_time_model is None
     assert summary.avoided_solves_fraction == summarize(records).avoided_solves_fraction
     text = format_summary(summary)
     assert "solver wall time:         not recorded" in text

@@ -153,16 +153,6 @@ def test_28_day_set_splits_evenly():
 
 # --- train / evaluate -------------------------------------------------------
 
-def test_method_none_equals_one_cluster():
-    data, _, _ = linear_dataset(noise=0.001)
-    s_none = train(data, method=sg.NONE, seed=0)
-    s_one = train(data, method=sg.KMEANS, n_c=1, seed=0)
-    assert s_none.n_c == 1
-    assert np.allclose(s_none.centers, s_one.centers, atol=1e-12)
-    x = data.inputs[17:18]
-    assert np.allclose(evaluate(s_none, x).v, evaluate(s_one, x).v, atol=1e-12)
-
-
 def test_piecewise_linear_regimes_need_clustering():
     rng = np.random.default_rng(12)
     T = 600
@@ -246,7 +236,8 @@ def test_predict_reproduces_noiseless_training_sample():
 
 def test_zero_input_no_intercept_gives_zero():
     data, _, _ = linear_dataset()
-    model = train(data, method=sg.NONE, seed=0, intercept=False, standardize=False)
+    model = train(data, method=sg.KMEANS, n_c=1, seed=0, intercept=False,
+                  standardize=False)
     result = evaluate(model, np.zeros((1, data.inputs.shape[1])))
     assert np.allclose(result.v, 0.0, atol=1e-12)
     assert np.allclose(result.a, 0.0, atol=1e-12)
@@ -260,7 +251,7 @@ def test_predict_equals_manual_evaluation():
     k = result.cluster[0]
     xs = (x - model.input_mean) / model.input_scale
     y = model.coef[k] @ xs + model.intercept[k]
-    n_v = data.n_voltages
+    n_v = data.outputs_v.shape[1]
     assert np.array_equal(result.v[0], y[:n_v])
     assert np.array_equal(result.a[0], y[n_v:])
 
@@ -269,7 +260,7 @@ def test_batch_matches_single_rows():
     data, _, _ = linear_dataset(noise=0.01, T=300)
     model = train(data, method=sg.KMEANS, n_c=4, seed=2)
     batch = evaluate(model, data.inputs)
-    T, n_v = data.n_steps, data.n_voltages
+    T, n_v = data.outputs_v.shape
     assert batch.cluster.shape == batch.distance.shape == batch.percentile.shape == (T,)
     assert batch.v.shape == batch.a.shape == (T, n_v)
     for t in range(T):
