@@ -14,7 +14,7 @@ from typing import get_args, get_type_hints
 
 from .dataset import SplitSpec
 from .hybrid import HybridConfig
-from .loadgen import LoadProfileSpec, default_modes
+from .loadgen import LoadProfileSpec
 from .netmodel import Network, load_network, read_yaml
 from .solver import SolverSettings
 
@@ -31,6 +31,12 @@ class SurrogateSettings:
     intercept: bool = True
     standardize: bool = True
     model_file: str = "surrogate.npz"
+
+    def __post_init__(self):
+        if self.n_clusters < 1:
+            raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -96,19 +102,18 @@ def _convert(name: str, hint, value):
         raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}") from None
 
 
-def _build(schema, key: str, section: dict, **given):
-    """`schema(**given, ...)` from the mapping of section `key`: the other
-    parameters of `schema` are the accepted keys, an absent one keeps its
-    default, and each value is converted by its annotation."""
-    unknown = set(section) - (set(inspect.signature(schema).parameters) - set(given))
+def _build(schema, key: str, section: dict):
+    """`schema(...)` from the mapping of section `key`: the parameters of
+    `schema` are the accepted keys, an absent one keeps its default, and
+    each value is converted by its annotation."""
+    unknown = set(section) - set(inspect.signature(schema).parameters)
     if unknown:
         raise ConfigError(f"unknown key in section {key!r}: "
                           f"{', '.join(sorted(map(str, unknown)))}")
     hints = get_type_hints(schema)
     try:
-        for name, value in section.items():
-            given[name] = _convert(name, hints[name], value)
-        return schema(**given)
+        return schema(**{name: _convert(name, hints[name], value)
+                         for name, value in section.items()})
     except (TypeError, ValueError) as exc:  # a bad value, a missing key, or __post_init__
         raise ConfigError(f"section {key!r}: {exc}") from None
 
@@ -122,14 +127,11 @@ def load_config(path, seed_override: int | None = None,
     if "network" not in raw:
         raise ConfigError(f"{path}: missing required key 'network'")
 
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed_override}")
     seed = {} if seed_override is None else {"seed": seed_override}
     ls = _section(raw, "load_spec")
-    load_spec = None
-    if ls:
-        # the modes are not in the file: default_modes scales them by base_level
-        level = {"base_level": ls.pop("base_level")} if "base_level" in ls else {}
-        load_spec = _build(LoadProfileSpec, "load_spec", ls | seed,
-                           modes=_build(default_modes, "load_spec", level))
+    load_spec = _build(LoadProfileSpec, "load_spec", ls | seed) if ls else None
     split = _build(SplitSpec, "split", _section(raw, "split"))
     surrogate = _build(SurrogateSettings, "surrogate", _section(raw, "surrogate") | seed)
     hybrid = _build(HybridConfig, "hybrid", _section(raw, "hybrid"))

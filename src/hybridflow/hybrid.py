@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import gc
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -159,27 +158,19 @@ def run_series(surrogate: sg.ClusteredSurrogate, network: Network,
     state = _own(start)
     solved = {}
     t = stale = 0  # the row the staleness cap forces after the last solve
-    # the run allocates no reference cycles; pausing the cyclic
-    # collector keeps its pauses out of the measured wall times
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        solutions = [VoltageSolution(v, a, 0, True) for v, a in zip(pred.v, pred.a)]
-        while t < n:
-            if t:  # the warm start: row t-1's accepted output
-                state.last_accepted = solutions[t - 1]
-            trigger = gates[t] or (ERROR_STALE if t == stale else ERROR_HIGH)
-            solutions[t], solved[t], state = step(
-                state, (pred.v[t], pred.a[t], trigger), network, load_series.P[t],
-                load_series.Q[t], config, settings, timestamp=stamps[t], row=t)
-            stale = t + config.max_check_interval
-            if state.last_observed_model_error >= config.error_check_threshold:
-                t += 1
-            else:
-                t = min(gated[bisect.bisect_right(gated, t)], stale)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    solutions = [VoltageSolution(v, a, 0, True) for v, a in zip(pred.v, pred.a)]
+    while t < n:
+        if t:  # the warm start: row t-1's accepted output
+            state.last_accepted = solutions[t - 1]
+        trigger = gates[t] or (ERROR_STALE if t == stale else ERROR_HIGH)
+        solutions[t], solved[t], state = step(
+            state, (pred.v[t], pred.a[t], trigger), network, load_series.P[t],
+            load_series.Q[t], config, settings, timestamp=stamps[t], row=t)
+        stale = t + config.max_check_interval
+        if state.last_observed_model_error >= config.error_check_threshold:
+            t += 1
+        else:
+            t = min(gated[bisect.bisect_right(gated, t)], stale)
     outside = time.perf_counter() - began - sum(r.wall_time for r in solved.values())
     share = outside / max(n, 1)
     for record in solved.values():

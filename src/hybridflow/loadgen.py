@@ -1,16 +1,16 @@
 """Synthetic load time-series generator with weekly mode structure.
 
-The week is partitioned into operating modes (time-of-day windows on
-weekday/weekend day groups). Each mode carries its own per-load level
-pattern, so the generated (p, q) series genuinely occupies distinct
-regions of input space. Transitions between modes are sharp steps;
-within a mode, loads vary smoothly (low-order Fourier components) plus
-seeded multiplicative noise.
+The week is partitioned into the seven operating modes of `MODES`
+(time-of-day windows on weekday/weekend day groups). Each mode carries
+its own per-load level pattern, so the generated (p, q) series genuinely
+occupies distinct regions of input space. Transitions between modes are
+sharp steps; within a mode, loads vary smoothly (low-order Fourier
+components) plus seeded multiplicative noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +29,20 @@ class LoadSpecError(ValueError):
     """Raised for invalid load profile specifications."""
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    name: str
-    days: tuple[int, ...]          # weekday indices, Monday = 0
-    start_minute: int              # minute of day, inclusive
-    end_minute: int                # minute of day, exclusive
-    level: float                   # mean per-load real power, pu
-    variability: float = 0.05      # relative amplitude of intra-mode variation
+# The weekly operating modes, four weekday and three weekend regimes:
+# (days, start minute of day, end minute of day (exclusive), mean per-load
+# real power as a multiple of `LoadProfileSpec.base_level`). They cover
+# every minute of the week exactly once.
+MODES = (
+    (WEEKDAYS, 0, 360, 0.40),      # night
+    (WEEKDAYS, 360, 540, 0.95),    # morning
+    (WEEKDAYS, 540, 1020, 0.70),   # day
+    (WEEKDAYS, 1020, 1440, 1.30),  # evening
+    (WEEKEND, 0, 480, 0.50),       # night
+    (WEEKEND, 480, 1080, 0.85),    # day
+    (WEEKEND, 1080, 1440, 1.10),   # evening
+)
+VARIABILITY = 0.05  # relative amplitude of the variation within a mode
 
 
 @dataclass
@@ -44,7 +50,7 @@ class LoadProfileSpec:
     n_loads: int
     resolution_minutes: int = 5
     duration_days: int = 28
-    modes: list[ModeSpec] = field(default_factory=lambda: default_modes())
+    base_level: float = 0.01       # pu; each mode's mean load is a multiple of it
     noise_scale: float = 0.02
     seed: int = 12345
     min_power_factor: float = 0.90
@@ -65,22 +71,7 @@ class LoadSeries:
         return LoadSeries(self.timestamps[lo:hi], self.P[lo:hi], self.Q[lo:hi])
 
 
-def default_modes(base_level: float = 0.01) -> list[ModeSpec]:
-    """Seven weekly modes: four weekday and three weekend regimes."""
-    b = base_level
-    return [
-        ModeSpec("wd_night", WEEKDAYS, 0, 360, 0.40 * b),
-        ModeSpec("wd_morning", WEEKDAYS, 360, 540, 0.95 * b),
-        ModeSpec("wd_day", WEEKDAYS, 540, 1020, 0.70 * b),
-        ModeSpec("wd_evening", WEEKDAYS, 1020, 1440, 1.30 * b),
-        ModeSpec("we_night", WEEKEND, 0, 480, 0.50 * b),
-        ModeSpec("we_day", WEEKEND, 480, 1080, 0.85 * b),
-        ModeSpec("we_evening", WEEKEND, 1080, 1440, 1.10 * b),
-    ]
-
-
 def validate_spec(spec: LoadProfileSpec) -> None:
-    """Scalar checks; `mode_table` checks how the modes cover the week."""
     if spec.duration_days < 1:
         raise LoadSpecError("duration_days must be >= 1")
     if np.isnat(spec.start):
@@ -95,31 +86,19 @@ def validate_spec(spec: LoadProfileSpec) -> None:
         raise LoadSpecError("min_power_factor must be in (0, 1]")
     if not np.isfinite(spec.noise_scale):
         raise LoadSpecError(f"noise_scale must be finite, got {spec.noise_scale}")
-    for mode in spec.modes:  # written so that a NaN fails the comparison
-        if not 0.0 <= mode.level < np.inf:
-            raise LoadSpecError(f"mode {mode.name!r}: level must be finite and >= 0, "
-                                f"got {mode.level}")
+    if not 0.0 <= spec.base_level < np.inf:  # written so that a NaN fails it
+        raise LoadSpecError(f"base_level must be finite and >= 0, got {spec.base_level}")
+    if spec.seed < 0:
+        raise LoadSpecError(f"seed must be >= 0, got {spec.seed}")
 
 
-def mode_table(spec: LoadProfileSpec) -> np.ndarray:
-    """Mode index for every minute of the week; each minute must be
-    covered by exactly one mode."""
-    table = np.full(MINUTES_PER_WEEK, -1, dtype=int)
-    for m, mode in enumerate(spec.modes):
-        if not (0 <= mode.start_minute < mode.end_minute <= MINUTES_PER_DAY):
-            raise LoadSpecError(f"mode {mode.name!r} has invalid window "
-                                f"[{mode.start_minute}, {mode.end_minute})")
-        for day in mode.days:
-            lo = day * MINUTES_PER_DAY + mode.start_minute
-            hi = day * MINUTES_PER_DAY + mode.end_minute
-            clash = table[lo:hi] >= 0
-            if clash.any():
-                other = spec.modes[table[lo:hi][clash][0]].name
-                raise LoadSpecError(f"modes {mode.name!r} and {other!r} overlap")
-            table[lo:hi] = m
-    if (table < 0).any():
-        minute = int(np.argmin(table >= 0))
-        raise LoadSpecError(f"minute-of-week {minute} is covered by no mode")
+def mode_table() -> np.ndarray:
+    """Index into `MODES` for every minute of the week."""
+    table = np.empty(MINUTES_PER_WEEK, dtype=int)
+    for m, (days, start, end, _) in enumerate(MODES):
+        for day in days:
+            lo = day * MINUTES_PER_DAY
+            table[lo + start:lo + end] = m
     return table
 
 
@@ -140,11 +119,10 @@ def generate(spec: LoadProfileSpec, network: Network | None = None) -> LoadSerie
         raise LoadSpecError(f"spec has {spec.n_loads} loads but network has "
                             f"{network.n_loads} load-attached buses")
 
-    n_modes = len(spec.modes)
     rng = np.random.default_rng(spec.seed)
     # Structural draws first: per-mode load patterns, Fourier shapes, power factors
-    weights = 0.6 + 0.8 * rng.random((n_modes, spec.n_loads))
-    fourier_phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_modes, 2))
+    weights = 0.6 + 0.8 * rng.random((len(MODES), spec.n_loads))
+    fourier_phase = rng.uniform(0.0, 2.0 * np.pi, size=(len(MODES), 2))
     pf = rng.uniform(spec.min_power_factor, 0.99, size=spec.n_loads)
     tan_phi = np.tan(np.arccos(pf))
 
@@ -154,16 +132,15 @@ def generate(spec: LoadProfileSpec, network: Network | None = None) -> LoadSerie
                   + np.arange(n_steps) * np.timedelta64(spec.resolution_minutes * 60, "s"))
 
     week_min = minute_of_week(timestamps)
-    labels = mode_table(spec)[week_min]
+    labels = mode_table()[week_min]
     minute_of_day = week_min % MINUTES_PER_DAY
 
-    levels = np.array([m.level for m in spec.modes])
-    variabilities = np.array([m.variability for m in spec.modes])
+    levels = np.array([multiple * spec.base_level for *_, multiple in MODES])
     # Smooth intra-mode variation: two Fourier harmonics of the day cycle
     angle = 2.0 * np.pi * minute_of_day / MINUTES_PER_DAY
     shape = (np.sin(angle + fourier_phase[labels, 0])
              + 0.5 * np.sin(2.0 * angle + fourier_phase[labels, 1])) / 1.5
-    factor = levels[labels] * (1.0 + variabilities[labels] * shape)
+    factor = levels[labels] * (1.0 + VARIABILITY * shape)
 
     noise = rng.standard_normal((n_steps, spec.n_loads))
     P = factor[:, None] * weights[labels] * (1.0 + spec.noise_scale * noise)

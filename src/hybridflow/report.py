@@ -24,6 +24,11 @@ class ReportError(ValueError):
     """Raised for inconsistent report inputs."""
 
 
+# `histogram` allocates every edge and `write_histogram` writes a row per bin:
+# a tiny --bin-width would ask for gigabytes, and no plot shows this many
+MAX_BINS = 100_000
+
+
 @dataclass
 class RunSummary:
     n_steps: int
@@ -89,8 +94,11 @@ def histogram(errors: np.ndarray, bin_width: float, clip: float) -> Histogram:
         raise ReportError("clip must be finite and > 0")
     if (errors < 0).any():
         raise ReportError("errors must be non-negative")
-    n_bins = int(np.ceil(clip / bin_width))
-    edges = np.arange(n_bins + 1) * bin_width
+    n_bins = clip / bin_width  # inf for a tiny width, so capped before the ceil
+    if n_bins > MAX_BINS:
+        raise ReportError(f"--clip over --bin-width gives {n_bins:.3g} bins, "
+                          f"more than {MAX_BINS}")
+    edges = np.arange(math.ceil(n_bins) + 1) * bin_width
     in_range = errors[errors < clip]
     counts, _ = np.histogram(in_range, bins=edges)
     return Histogram(edges=edges, counts=counts, clipped_count=int(np.sum(errors >= clip)))

@@ -110,15 +110,14 @@ def solve_newton_dense(network: Network, p: np.ndarray, q: np.ndarray,
                            converged=False)
 
 
-def mode_labels(spec: LoadProfileSpec, timestamps: np.ndarray) -> np.ndarray:
+def mode_labels(timestamps: np.ndarray) -> np.ndarray:
     """Ground-truth generator mode index per timestamp."""
-    return mode_table(spec)[minute_of_week(timestamps)]
+    return mode_table()[minute_of_week(timestamps)]
 
 
 def scaled_spec(spec: LoadProfileSpec, factor: float) -> LoadProfileSpec:
-    """Copy of spec with all mode levels scaled by factor."""
-    modes = [replace(m, level=m.level * factor) for m in spec.modes]
-    return replace(spec, modes=modes)
+    """Copy of spec with its base level, and so every mode's level, scaled by factor."""
+    return replace(spec, base_level=spec.base_level * factor)
 
 
 def write_csv_rowwise(dataset: Dataset, path) -> None:

@@ -144,7 +144,7 @@ def test_criterion_3_clustering():
     spec = loadgen.LoadProfileSpec(n_loads=29, resolution_minutes=5,
                                    duration_days=28, seed=42)
     series = loadgen.generate(spec)
-    truth = mode_labels(spec, series.timestamps)
+    truth = mode_labels(series.timestamps)
     X = np.hstack([series.P, series.Q])
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     labels = sg.kmeans(X, 7, seed=7).assignments

@@ -208,66 +208,83 @@ timestamp,decision,triggering_check,eps_inf,solver_iterations
 SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
 
 
-@pytest.mark.parametrize("old, new, files, argv", [
-    ("max_check_interval: 2", "max_check_interval: two", {}, ["simulate"]),
-    ("max_check_interval: 2", "max_check_interval: 0", {}, ["simulate"]),
-    ("error_check_threshold: 0.01", "error_check_threshold: null", {}, ["simulate"]),
-    ("error_check_threshold: 0.01", "error_check_threshold: .nan", {}, ["simulate"]),
-    ("step_change_threshold: 0.20", "step_change_threshold: -1.0", {}, ["simulate"]),
-    ("step_change_threshold: 0.20", "step_change_threshold: .nan", {}, ["simulate"]),
+@pytest.mark.parametrize("old, new, files, argv, named", [
+    ("max_check_interval: 2", "max_check_interval: two", {}, ["simulate"], None),
+    ("max_check_interval: 2", "max_check_interval: 0", {}, ["simulate"], None),
+    ("error_check_threshold: 0.01", "error_check_threshold: null", {}, ["simulate"], None),
+    ("error_check_threshold: 0.01", "error_check_threshold: .nan", {}, ["simulate"], None),
+    ("step_change_threshold: 0.20", "step_change_threshold: -1.0", {}, ["simulate"], None),
+    ("step_change_threshold: 0.20", "step_change_threshold: .nan", {}, ["simulate"], None),
     ("  step_change_threshold: 0.20\n",
      "  step_change_threshold: 0.20\n  distance_percentile_threshold: -1.0\n", {},
-     ["simulate"]),
+     ["simulate"], None),
     ("mismatch_tolerance: 1.0e-8", "mismatch_tolerance: .nan", {"records.csv": RECORDS},
-     ["report", "--records", "{tmp}/records.csv"]),
-    ("  n_clusters: 3\n", '  n_clusters: 3\n  intercept: "no"\n', {}, ["simulate"]),
-    ("  n_loads: 29\n", "", {}, ["simulate"]),
-    ("hybrid:\n", "hybrid: [\n", {}, ["simulate"]),
+     ["report", "--records", "{tmp}/records.csv"], None),
+    ("  n_clusters: 3\n", '  n_clusters: 3\n  intercept: "no"\n', {}, ["simulate"], None),
+    ("  n_loads: 29\n", "", {}, ["simulate"], None),
+    ("hybrid:\n", "hybrid: [\n", {}, ["simulate"], None),
     ("model_file: {out}/surrogate.npz", "model_file: {tmp}/model.json",
-     {"model.json": "{not json"}, ["simulate"]),
+     {"model.json": "{not json"}, ["simulate"], None),
     ("network: feeder30", "network: {tmp}/net.yaml", {"net.yaml": ZERO_IMPEDANCE},
-     ["simulate"]),
+     ["simulate"], None),
     ("network: feeder30", "network: {tmp}/net.yaml", {"net.yaml": BUS_WITHOUT_ID},
-     ["simulate"]),
-    ("resolution_minutes: 30", "resolution_minutes: 0", {}, ["generate"]),
-    ("resolution_minutes: 30", "resolution_minutes: -5", {}, ["generate"]),
-    ("  seed: 5\n", "  seed: 5\n  noise_scale: .nan\n", {}, ["generate"]),
-    ("  seed: 5\n", "  seed: 5\n  base_level: -0.01\n", {}, ["generate"]),
-    ("  seed: 5\n", '  seed: 5\n  start: "NaT"\n', {}, ["generate"]),
+     ["simulate"], None),
+    ("resolution_minutes: 30", "resolution_minutes: 0", {}, ["generate"], None),
+    ("resolution_minutes: 30", "resolution_minutes: -5", {}, ["generate"], None),
+    ("  seed: 5\n", "  seed: 5\n  noise_scale: .nan\n", {}, ["generate"], None),
+    ("  seed: 5\n", "  seed: 5\n  base_level: -0.01\n", {}, ["generate"],
+     "base_level must be finite and >= 0, got -0.01"),
+    ("  seed: 5\n", '  seed: 5\n  start: "NaT"\n', {}, ["generate"], None),
     ("method: kmeans\n  n_clusters: 3\n  seed: 3\n  model_file: {out}",
-     "method: none\n  n_clusters: 3\n  seed: 3\n  model_file: {tmp}", {}, ["train"]),
+     "method: none\n  n_clusters: 3\n  seed: 3\n  model_file: {tmp}", {}, ["train"], None),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
-                  "--calibration-days", "0"]),
+                  "--calibration-days", "0"], None),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
-                  "--calibration-days=-1,1"]),
+                  "--calibration-days=-1,1"], None),
     ("", "", {}, ["tune", "--parameter", "step_change", "--values", "0.2",
-                  "--calibration-days", "-1,1"]),
+                  "--calibration-days", "-1,1"], None),
     ("", "", {"records.csv": RECORDS},
-     ["report", "--records", "{tmp}/records.csv", "--bin-width", "0"]),
-    ("", "", {"records.csv": SHORT_RECORD}, ["report", "--records", "{tmp}/records.csv"]),
+     ["report", "--records", "{tmp}/records.csv", "--bin-width", "0"], None),
+    ("", "", {"records.csv": SHORT_RECORD}, ["report", "--records", "{tmp}/records.csv"],
+     None),
     ("", "", {"records.csv": RECORDS},
-     ["report", "--records", "{tmp}/records.csv", "--clip", "inf"]),
+     ["report", "--records", "{tmp}/records.csv", "--clip", "inf"], None),
     ("", "", {"records.csv": RECORDS},
-     ["report", "--records", "{tmp}/records.csv", "--bin-width", "nan"]),
+     ["report", "--records", "{tmp}/records.csv", "--bin-width", "nan"], None),
+    ("  seed: 5\n", "  seed: -1\n", {}, ["generate"], "seed must be >= 0, got -1"),
+    ("seed: 3\n  model_file: {out}", "seed: -1\n  model_file: {tmp}", {}, ["train"],
+     "section 'surrogate': seed must be >= 0, got -1"),
+    ("n_clusters: 3\n  seed: 3\n  model_file: {out}",
+     "n_clusters: 0\n  seed: 3\n  model_file: {tmp}", {}, ["train"],
+     "section 'surrogate': n_clusters must be >= 1, got 0"),
+    ("", "", {}, ["--seed=-1", "generate"], "--seed must be >= 0, got -1"),
+    ("", "", {"records.csv": RECORDS},
+     ["report", "--records", "{tmp}/records.csv", "--bin-width", "1e-300"],
+     "--clip over --bin-width"),
 ], ids=["interval_not_int", "interval_zero", "threshold_null", "threshold_nan",
         "step_change_negative", "step_change_nan", "distance_negative", "tolerance_nan",
         "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
         "zero_impedance", "bus_without_id", "resolution_zero", "resolution_negative",
         "noise_nan", "base_level_negative", "start_nat", "method_none", "calibration_days",
         "calibration_days_negative", "calibration_days_negative_spaced", "bin_width_zero",
-        "records_short_row", "clip_inf", "bin_width_nan"])
-def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv):
+        "records_short_row", "clip_inf", "bin_width_nan", "load_spec_seed_negative",
+        "surrogate_seed_negative", "n_clusters_zero", "seed_option_negative",
+        "bin_width_tiny"])
+def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv,
+                                           named):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     # `generate` writes to the configured dataset path, which --out does not
     # redirect: a case that wrongly succeeds must not overwrite the shared dataset
-    out = tmp_path / "out" if argv[0] == "generate" else workdir / "out"
+    out = tmp_path / "out" if "generate" in argv else workdir / "out"
     paths = {"out": out, "tmp": tmp_path}
     config = tmp_path / "run.yaml"
     config.write_text(CONFIG_TEMPLATE.replace(old, new).format(**paths))
     argv = [arg.format(**paths) for arg in argv]
     assert main(["--config", str(config), "--out", str(tmp_path / "out"), *argv]) == 1
-    _one_error_line(capsys)
+    line = _one_error_line(capsys)
+    if named is not None:  # an out-of-range value names its key
+        assert named in line
 
 
 def _damaged_model(workdir, tmp_path, damage) -> Path:

@@ -211,7 +211,7 @@ GATE_LO, GATE_HI = 40, 56  # 10:00-14:00 on day 0: inside small_series' weekday-
 
 @pytest.mark.parametrize("case", ["step3", "drop_half", "one_mode", "zero", "null",
                                   "both"])
-def test_input_gates(case, small_spec, small_series):
+def test_input_gates(case, small_series):
     P, Q = small_series.P.copy(), small_series.Q.copy()
     percentile = np.zeros(len(P))
     config = HybridConfig()  # step change 0.20, no distance check
@@ -230,7 +230,7 @@ def test_input_gates(case, small_spec, small_series):
         Q[GATE_LO:GATE_HI, ::2] = 0.0
         expected = {GATE_LO: STEP_CHANGE, GATE_HI: STEP_CHANGE}
     elif case == "one_mode":
-        labels = mode_labels(small_spec, small_series.timestamps)
+        labels = mode_labels(small_series.timestamps)
         rows = np.flatnonzero(labels[1:] == labels[:-1]) + 1
     elif case == "zero":
         config = HybridConfig(step_change_threshold=0.0)

@@ -3,24 +3,19 @@ import pytest
 
 from hybridflow import loadgen
 from hybridflow.hybrid import SimulationError, run_pure_solver
-from hybridflow.loadgen import (LoadProfileSpec, LoadSpecError, ModeSpec,
-                                default_modes, generate, mode_table,
-                                validate_spec)
+from hybridflow.loadgen import (MINUTES_PER_DAY, MINUTES_PER_WEEK, MODES, LoadProfileSpec,
+                                LoadSpecError, generate, validate_spec)
 from hybridflow.solver import SolverSettings
 from hybridflow.surrogate import kmeans
 from tests.oracles import mode_labels, scaled_spec
 
 
-def constant_spec(n_loads=3, **kwargs):
-    mode = ModeSpec("always", (0, 1, 2, 3, 4, 5, 6), 0, 1440, 0.01, variability=0.0)
-    return LoadProfileSpec(n_loads=n_loads, modes=[mode], noise_scale=0.0,
-                           duration_days=2, seed=1, **kwargs)
-
-
-def test_constant_mode_zero_noise_rows_identical():
-    series = generate(constant_spec())
-    assert np.all(series.P == series.P[0])
-    assert np.all(series.Q == series.Q[0])
+def test_zero_noise_weeks_repeat_bit_for_bit():
+    spec = LoadProfileSpec(n_loads=3, duration_days=14, noise_scale=0.0, seed=1)
+    series = generate(spec)
+    week = 7 * MINUTES_PER_DAY // spec.resolution_minutes
+    assert np.array_equal(series.P[:week], series.P[week:])
+    assert np.array_equal(series.Q[:week], series.Q[week:])
 
 
 def test_determinism_same_seed():
@@ -40,21 +35,11 @@ def test_distinct_seeds_differ():
 
 
 def test_default_modes_cover_week_exactly():
-    table = mode_table(LoadProfileSpec(n_loads=2))
-    assert table.min() == 0 and table.max() == len(default_modes()) - 1
-
-
-def test_overlapping_modes_rejected():
-    modes = default_modes()
-    modes.append(ModeSpec("extra", (0,), 100, 200, 0.01))
-    with pytest.raises(LoadSpecError, match="overlap"):
-        mode_table(LoadProfileSpec(n_loads=2, modes=modes))
-
-
-def test_uncovered_minutes_rejected():
-    modes = [ModeSpec("partial", (0, 1, 2, 3, 4, 5, 6), 0, 1000, 0.01)]
-    with pytest.raises(LoadSpecError, match="covered by no mode"):
-        mode_table(LoadProfileSpec(n_loads=2, modes=modes))
+    coverage = np.zeros(MINUTES_PER_WEEK, dtype=int)
+    for days, start, end, _ in MODES:
+        for day in days:
+            coverage[day * MINUTES_PER_DAY + start:day * MINUTES_PER_DAY + end] += 1
+    assert np.all(coverage == 1)
 
 
 def test_bad_resolution_rejected():
@@ -67,11 +52,12 @@ def test_bad_resolution_rejected():
     ({"resolution_minutes": -5}, "resolution_minutes"),
     ({"noise_scale": float("nan")}, "noise_scale"),
     ({"noise_scale": float("inf")}, "noise_scale"),
-    ({"modes": default_modes(float("nan"))}, "level"),
-    ({"modes": default_modes(-0.01)}, "level"),
-    ({"modes": default_modes(float("inf"))}, "level"),
+    ({"base_level": float("nan")}, "base_level"),
+    ({"base_level": -0.01}, "base_level"),
+    ({"base_level": float("inf")}, "base_level"),
+    ({"seed": -1}, "seed"),
 ], ids=["resolution_zero", "resolution_negative", "noise_nan", "noise_inf", "level_nan",
-        "level_negative", "level_inf"])
+        "level_negative", "level_inf", "seed_negative"])
 def test_bad_scalar_is_rejected_naming_its_key(change, key):
     with pytest.raises(LoadSpecError, match=key):
         validate_spec(LoadProfileSpec(n_loads=2, **change))
@@ -99,12 +85,12 @@ def test_weekly_periodicity_of_expectations():
 def test_mode_labels_recovered_by_kmeans():
     spec = LoadProfileSpec(n_loads=10, duration_days=28, seed=21)
     series = generate(spec)
-    truth = mode_labels(spec, series.timestamps)
+    truth = mode_labels(series.timestamps)
     X = np.hstack([series.P, series.Q])
     X = (X - X.mean(axis=0)) / X.std(axis=0)
-    labels = kmeans(X, len(spec.modes), seed=0).assignments
+    labels = kmeans(X, len(MODES), seed=0).assignments
     agreeing = 0
-    for k in range(len(spec.modes)):
+    for k in range(len(MODES)):
         members = labels == k
         if members.any():
             agreeing += np.bincount(truth[members]).max()

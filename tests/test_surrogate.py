@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hybridflow import surrogate as sg
+from hybridflow import loadgen, surrogate as sg
 from hybridflow.dataset import Dataset
 from hybridflow.surrogate import (SurrogateError, cluster_day_of_week, evaluate,
                                   fit_regression, kmeans, train)
@@ -273,10 +273,10 @@ def test_batch_matches_single_rows():
 
 
 
-def test_clustering_improves_mode_structured_fit(small_dataset, small_spec):
+def test_clustering_improves_mode_structured_fit(small_dataset):
     from hybridflow.metrics import eps_inf
 
-    n_modes = len(small_spec.modes)
+    n_modes = len(loadgen.MODES)
     s_multi = train(small_dataset, method=sg.KMEANS, n_c=n_modes, seed=0)
     s_single = train(small_dataset, method=sg.KMEANS, n_c=1, seed=0)
     truth = (small_dataset.outputs_v, small_dataset.outputs_a)
