@@ -30,8 +30,9 @@ from .loadgen import LoadSeries
 ARCHIVE_FORMAT = "hybridflow-dataset"
 ARCHIVE_VERSION = 1
 ARCHIVE_ARRAYS = ("timestamps", "inputs", "outputs_v", "outputs_a")
-# cells `write_csv` formats at once: bounds its temporaries whatever the row width
-BLOCK_CELLS = 1 << 11
+# cells `write_csv` formats at once: bounds its temporaries whatever the row
+# width, yet holds several wide rows (10 of radial200's 798-cell rows)
+BLOCK_CELLS = 1 << 13
 
 
 class DatasetError(ValueError):

@@ -56,6 +56,26 @@ class LoadProfileSpec:
     min_power_factor: float = 0.90
     start: np.datetime64 = DEFAULT_START
 
+    def __post_init__(self):
+        if self.duration_days < 1:
+            raise LoadSpecError("duration_days must be >= 1")
+        if np.isnat(self.start):
+            raise LoadSpecError("start must be a time, got NaT")
+        if self.n_loads < 1:
+            raise LoadSpecError("n_loads must be >= 1")
+        if self.resolution_minutes < 1:
+            raise LoadSpecError(f"resolution_minutes must be >= 1, got {self.resolution_minutes}")
+        if MINUTES_PER_DAY % self.resolution_minutes != 0:
+            raise LoadSpecError(f"resolution {self.resolution_minutes} min does not divide 1440")
+        if not (0.0 < self.min_power_factor <= 1.0):
+            raise LoadSpecError("min_power_factor must be in (0, 1]")
+        if not np.isfinite(self.noise_scale):
+            raise LoadSpecError(f"noise_scale must be finite, got {self.noise_scale}")
+        if not 0.0 <= self.base_level < np.inf:  # written so that a NaN fails it
+            raise LoadSpecError(f"base_level must be finite and >= 0, got {self.base_level}")
+        if self.seed < 0:
+            raise LoadSpecError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class LoadSeries:
@@ -69,27 +89,6 @@ class LoadSeries:
 
     def rows(self, lo: int, hi: int) -> "LoadSeries":
         return LoadSeries(self.timestamps[lo:hi], self.P[lo:hi], self.Q[lo:hi])
-
-
-def validate_spec(spec: LoadProfileSpec) -> None:
-    if spec.duration_days < 1:
-        raise LoadSpecError("duration_days must be >= 1")
-    if np.isnat(spec.start):
-        raise LoadSpecError("start must be a time, got NaT")
-    if spec.n_loads < 1:
-        raise LoadSpecError("n_loads must be >= 1")
-    if spec.resolution_minutes < 1:
-        raise LoadSpecError(f"resolution_minutes must be >= 1, got {spec.resolution_minutes}")
-    if MINUTES_PER_DAY % spec.resolution_minutes != 0:
-        raise LoadSpecError(f"resolution {spec.resolution_minutes} min does not divide 1440")
-    if not (0.0 < spec.min_power_factor <= 1.0):
-        raise LoadSpecError("min_power_factor must be in (0, 1]")
-    if not np.isfinite(spec.noise_scale):
-        raise LoadSpecError(f"noise_scale must be finite, got {spec.noise_scale}")
-    if not 0.0 <= spec.base_level < np.inf:  # written so that a NaN fails it
-        raise LoadSpecError(f"base_level must be finite and >= 0, got {spec.base_level}")
-    if spec.seed < 0:
-        raise LoadSpecError(f"seed must be >= 0, got {spec.seed}")
 
 
 def mode_table() -> np.ndarray:
@@ -114,7 +113,6 @@ def generate(spec: LoadProfileSpec, network: Network | None = None) -> LoadSerie
     With `network`, the load count must match its load-attached buses;
     `hybrid.run_ground_truth` checks that every timestamp is feasible.
     """
-    validate_spec(spec)
     if network is not None and spec.n_loads != network.n_loads:
         raise LoadSpecError(f"spec has {spec.n_loads} loads but network has "
                             f"{network.n_loads} load-attached buses")

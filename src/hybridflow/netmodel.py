@@ -16,8 +16,22 @@ import yaml
 SLACK = "slack"
 PQ = "pq"
 
-# libyaml's parser when the installed PyYAML has it (about 7x faster)
-Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader, on libyaml's parser when the installed PyYAML has it
+    (about 7x faster), that refuses a mapping repeating a key."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        # the entries a `<<` merge key brings in may be overridden, so it is skipped
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and not key_node.tag.endswith(":merge"):
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 class NetworkValidationError(ValueError):
@@ -186,7 +200,8 @@ def make_network(buses: list[Bus], lines: list[Line], name: str = "network") -> 
 
 
 def read_yaml(path, error: type[Exception] = NetworkValidationError):
-    """The YAML document in `path`; a syntax error raises `error` naming the file."""
+    """The YAML document in `path`; a syntax error or a repeated key raises
+    `error` naming the file."""
     with open(path) as f:
         try:
             return yaml.load(f, Loader=Loader)

@@ -206,6 +206,14 @@ timestamp,decision,triggering_check,eps_inf,solver_iterations
 2024-01-05T00:00:00Z,solver,forced_first,0,3
 """
 SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
+REPEATED_LOAD = """\
+buses:
+  - {id: 0, kind: slack}
+  - {id: 1, load: 0, load: 1}
+lines: [{from: 0, to: 1, r: 0.01, x: 0.05}]
+"""
+NEGATIVE_LEVEL = ("  seed: 5\n", "  seed: 5\n  base_level: -0.01\n")
+NEGATIVE_LEVEL_ERROR = "section 'load_spec': base_level must be finite and >= 0, got -0.01"
 
 
 @pytest.mark.parametrize("old, new, files, argv, named", [
@@ -232,8 +240,7 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
     ("resolution_minutes: 30", "resolution_minutes: 0", {}, ["generate"], None),
     ("resolution_minutes: 30", "resolution_minutes: -5", {}, ["generate"], None),
     ("  seed: 5\n", "  seed: 5\n  noise_scale: .nan\n", {}, ["generate"], None),
-    ("  seed: 5\n", "  seed: 5\n  base_level: -0.01\n", {}, ["generate"],
-     "base_level must be finite and >= 0, got -0.01"),
+    (*NEGATIVE_LEVEL, {}, ["generate"], NEGATIVE_LEVEL_ERROR),
     ("  seed: 5\n", '  seed: 5\n  start: "NaT"\n', {}, ["generate"], None),
     ("method: kmeans\n  n_clusters: 3\n  seed: 3\n  model_file: {out}",
      "method: none\n  n_clusters: 3\n  seed: 3\n  model_file: {tmp}", {}, ["train"], None),
@@ -251,7 +258,8 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
      ["report", "--records", "{tmp}/records.csv", "--clip", "inf"], None),
     ("", "", {"records.csv": RECORDS},
      ["report", "--records", "{tmp}/records.csv", "--bin-width", "nan"], None),
-    ("  seed: 5\n", "  seed: -1\n", {}, ["generate"], "seed must be >= 0, got -1"),
+    ("  seed: 5\n", "  seed: -1\n", {}, ["generate"],
+     "section 'load_spec': seed must be >= 0, got -1"),
     ("seed: 3\n  model_file: {out}", "seed: -1\n  model_file: {tmp}", {}, ["train"],
      "section 'surrogate': seed must be >= 0, got -1"),
     ("n_clusters: 3\n  seed: 3\n  model_file: {out}",
@@ -261,6 +269,16 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
     ("", "", {"records.csv": RECORDS},
      ["report", "--records", "{tmp}/records.csv", "--bin-width", "1e-300"],
      "--clip over --bin-width"),
+    (*NEGATIVE_LEVEL, {}, ["train"], NEGATIVE_LEVEL_ERROR),
+    (*NEGATIVE_LEVEL, {}, ["simulate"], NEGATIVE_LEVEL_ERROR),
+    (*NEGATIVE_LEVEL, {}, ["tune", "--parameter", "step_change", "--values", "0.2"],
+     NEGATIVE_LEVEL_ERROR),
+    ("  seed: 5\n", "  seed: 5\n  seed: 6\n", {}, ["simulate"],
+     "{tmp}/run.yaml:8: invalid YAML: repeated key 'seed'"),
+    ("network: feeder30\n", "network: feeder30\nnetwork: net4\n", {}, ["simulate"],
+     "{tmp}/run.yaml:2: invalid YAML: repeated key 'network'"),
+    ("network: feeder30", "network: {tmp}/net.yaml", {"net.yaml": REPEATED_LOAD},
+     ["simulate"], "{tmp}/net.yaml:3: invalid YAML: repeated key 'load'"),
 ], ids=["interval_not_int", "interval_zero", "threshold_null", "threshold_nan",
         "step_change_negative", "step_change_nan", "distance_negative", "tolerance_nan",
         "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
@@ -269,7 +287,9 @@ SHORT_RECORD = RECORDS + "2024-01-05T00:30:00Z,model\n"
         "calibration_days_negative", "calibration_days_negative_spaced", "bin_width_zero",
         "records_short_row", "clip_inf", "bin_width_nan", "load_spec_seed_negative",
         "surrogate_seed_negative", "n_clusters_zero", "seed_option_negative",
-        "bin_width_tiny"])
+        "bin_width_tiny", "base_level_negative_train", "base_level_negative_simulate",
+        "base_level_negative_tune", "repeated_section_key", "repeated_top_level_key",
+        "repeated_network_key"])
 def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv,
                                            named):
     for name, text in files.items():
@@ -283,8 +303,8 @@ def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, 
     argv = [arg.format(**paths) for arg in argv]
     assert main(["--config", str(config), "--out", str(tmp_path / "out"), *argv]) == 1
     line = _one_error_line(capsys)
-    if named is not None:  # an out-of-range value names its key
-        assert named in line
+    if named is not None:  # the line names the bad key, and a YAML error its file and line
+        assert named.format(**paths) in line
 
 
 def _damaged_model(workdir, tmp_path, damage) -> Path:

@@ -4,7 +4,7 @@ import pytest
 from hybridflow import loadgen
 from hybridflow.hybrid import SimulationError, run_pure_solver
 from hybridflow.loadgen import (MINUTES_PER_DAY, MINUTES_PER_WEEK, MODES, LoadProfileSpec,
-                                LoadSpecError, generate, validate_spec)
+                                LoadSpecError, generate)
 from hybridflow.solver import SolverSettings
 from hybridflow.surrogate import kmeans
 from tests.oracles import mode_labels, scaled_spec
@@ -44,7 +44,7 @@ def test_default_modes_cover_week_exactly():
 
 def test_bad_resolution_rejected():
     with pytest.raises(LoadSpecError, match="does not divide"):
-        validate_spec(LoadProfileSpec(n_loads=2, resolution_minutes=7))
+        LoadProfileSpec(n_loads=2, resolution_minutes=7)
 
 
 @pytest.mark.parametrize("change, key", [
@@ -60,7 +60,7 @@ def test_bad_resolution_rejected():
         "level_negative", "level_inf", "seed_negative"])
 def test_bad_scalar_is_rejected_naming_its_key(change, key):
     with pytest.raises(LoadSpecError, match=key):
-        validate_spec(LoadProfileSpec(n_loads=2, **change))
+        LoadProfileSpec(n_loads=2, **change)
 
 
 def test_power_factor_bound():

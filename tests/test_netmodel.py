@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hybridflow.netmodel import (Bus, Line, NetworkStructureError,
                                  NetworkValidationError, build_admittance,
-                                 load_network, make_network, save_network)
+                                 load_network, make_network, read_yaml, save_network)
 
 
 def two_bus():
@@ -112,3 +112,9 @@ def test_bundled_networks_valid(net4, feeder30):
     assert net4.slack_index == feeder30.slack_index == 0
     assert feeder30.n_bus >= 25
     assert feeder30.n_loads == feeder30.n_bus - 1
+
+
+def test_yaml_merge_key_is_not_a_repeat(tmp_path):
+    path = tmp_path / "doc.yaml"
+    path.write_text("base: &base {x: 1, y: 2}\nmerged:\n  <<: *base\n  x: 3\n")
+    assert read_yaml(path) == {"base": {"x": 1, "y": 2}, "merged": {"x": 3, "y": 2}}
