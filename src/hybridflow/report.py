@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -40,6 +41,7 @@ class RunSummary:
     wall_time_solver: float | None        # the two times are None when any
     wall_time_model: float | None         # record carries no wall time
     mean_solver_iterations: float
+    solves_by_trigger: dict[str, int]     # solver steps per triggering_check
 
 
 def step_errors(records: list[StepRecord]) -> np.ndarray:
@@ -74,6 +76,8 @@ def summarize(records: list[StepRecord], threshold: float = 0.01) -> RunSummary:
         wall_time_solver=solver_time,
         wall_time_model=model_time,
         mean_solver_iterations=(float(np.mean(iterations)) if iterations else 0.0),
+        solves_by_trigger=dict(sorted(Counter(r.triggering_check for r in solver_steps
+                                              if r.triggering_check).items())),
     )
 
 
@@ -120,6 +124,9 @@ def format_summary(summary: RunSummary) -> str:
         f"solver wall time:         {_seconds(summary.wall_time_solver)}",
         f"model wall time:          {_seconds(summary.wall_time_model)}",
         f"mean solver iterations:   {summary.mean_solver_iterations:.2f}",
+        "solves by trigger:        " + (", ".join(
+            f"{check} {count}" for check, count in summary.solves_by_trigger.items())
+            or "none recorded"),
     ]
     return "\n".join(lines)
 

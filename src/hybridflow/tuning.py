@@ -26,8 +26,10 @@ DISTANCE_PERCENTILE = "distance_percentile"
 STEP_CHANGE = "step_change"
 ERROR_THRESHOLD = "error_threshold"
 ERROR_GRID = "error_threshold_x_max_interval"
+MAX_INTERVAL_GROWTH = "max_interval_growth"
 
-PARAMETERS = (DISTANCE_PERCENTILE, STEP_CHANGE, ERROR_THRESHOLD, ERROR_GRID)
+PARAMETERS = (DISTANCE_PERCENTILE, STEP_CHANGE, ERROR_THRESHOLD, ERROR_GRID,
+              MAX_INTERVAL_GROWTH)
 
 
 class TuningError(ValueError):
@@ -56,10 +58,15 @@ class SweepSpec:
         if self.parameter == ERROR_GRID:
             if not self.values2:
                 raise TuningError("2-D sweep needs values2 (max_check_interval grid)")
-            for value2 in self.values2:  # run as int(value2), recorded as given
-                if not (float(value2).is_integer() and value2 >= 1):
-                    raise TuningError(f"max_check_interval grid value {value2!r} "
-                                      f"is not a whole number >= 1")
+            _whole_numbers("max_check_interval", self.values2)
+        if self.parameter == MAX_INTERVAL_GROWTH:
+            _whole_numbers(MAX_INTERVAL_GROWTH, self.values)
+
+
+def _whole_numbers(name: str, values: list[float]) -> None:
+    for value in values:  # run as int(value), recorded as given
+        if not (float(value).is_integer() and value >= 1):
+            raise TuningError(f"{name} grid value {value!r} is not a whole number >= 1")
 
 
 @dataclass
@@ -85,6 +92,8 @@ def config_for(spec: SweepSpec, value: float, value2: float | None = None) -> Hy
         return replace(base, error_check_threshold=value)
     if spec.parameter == ERROR_GRID:
         return replace(base, error_check_threshold=value, max_check_interval=int(value2))
+    if spec.parameter == MAX_INTERVAL_GROWTH:
+        return replace(base, max_interval_growth=int(value))
     raise TuningError(f"unknown sweep parameter {spec.parameter!r}")
 
 

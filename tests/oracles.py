@@ -8,8 +8,8 @@ import numpy as np
 
 from hybridflow import surrogate as sg
 from hybridflow.dataset import Dataset
-from hybridflow.hybrid import (ERROR_HIGH, ERROR_STALE, FORCED_FIRST, HybridConfig,
-                               HybridState, input_gates)
+from hybridflow.hybrid import (AUDIT_SAFETY, ERROR_HIGH, ERROR_STALE, FORCED_FIRST,
+                               HybridConfig, HybridState, input_gates)
 from hybridflow.loadgen import LoadProfileSpec, LoadSeries, minute_of_week, mode_table
 from hybridflow.metrics import eps_inf
 from hybridflow.netmodel import Network
@@ -141,8 +141,14 @@ def run_series_stepwise(surrogate: sg.ClusteredSurrogate, network: Network,
                         ) -> tuple[list[VoltageSolution], list[tuple]]:
     """The hybrid run as a per-step state machine: every row decides on its
     own between the model and a warm-started solve, counting the steps since
-    the last solve. Returns the accepted outputs and, per row, its
-    `(decision, triggering_check, solver_iterations)`."""
+    the last solve. A model row accepts its prediction plus the last solve's
+    solution minus that solve's prediction, and a solve audits its own
+    prediction plus the same correction. The staleness interval starts at
+    `max_check_interval`; with `max_interval_growth` set, each solve whose
+    audit is under `error_check_threshold / AUDIT_SAFETY` doubles it, up to
+    `max_interval_growth` times the start, and any other solve resets it.
+    Returns the accepted outputs and, per row, its `(decision,
+    triggering_check, solver_iterations)`."""
     X = np.hstack([series.P, series.Q])
     pred = sg.evaluate(surrogate, X)
     gates = input_gates(X, pred.percentile, config)
@@ -151,17 +157,22 @@ def run_series_stepwise(surrogate: sg.ClusteredSurrogate, network: Network,
     else:  # a holder of its own, sharing the start's read-only inverse
         accepted, chord = start.last_accepted, replace(start.chord)
     error, steps_since = math.inf, 0
+    interval = config.max_check_interval
+    correction_v = np.zeros(network.n_bus)
+    correction_a = np.zeros(network.n_bus)
     solutions, decisions = [], []
     for t in range(series.n_steps):
+        corrected_v = pred.v[t] + correction_v
+        corrected_a = pred.a[t] + correction_a
         trigger = gates[t]
         if t == 0:
             trigger = FORCED_FIRST
-        elif trigger is None and steps_since + 1 >= config.max_check_interval:
+        elif trigger is None and steps_since + 1 >= interval:
             trigger = ERROR_STALE
         elif trigger is None and error >= config.error_check_threshold:
             trigger = ERROR_HIGH
         if trigger is None:
-            accepted = VoltageSolution(v=pred.v[t], a=pred.a[t], iterations=0,
+            accepted = VoltageSolution(v=corrected_v, a=corrected_a, iterations=0,
                                        converged=True)
             steps_since += 1
             decisions.append((MODEL, None, None))
@@ -173,7 +184,15 @@ def run_series_stepwise(surrogate: sg.ClusteredSurrogate, network: Network,
                 accepted = solve_newton_raphson(network, series.P[t], series.Q[t], None,
                                                 settings)
             assert accepted.converged, t
-            error = eps_inf(pred.v[t], pred.a[t], accepted.v, accepted.a)
+            error = eps_inf(corrected_v, corrected_a, accepted.v, accepted.a)
+            correction_v = accepted.v - pred.v[t]
+            correction_a = accepted.a - pred.a[t]
+            if config.max_interval_growth is not None:
+                if error < config.error_check_threshold / AUDIT_SAFETY:
+                    interval = min(2 * interval,
+                                   config.max_interval_growth * config.max_check_interval)
+                else:
+                    interval = config.max_check_interval
             steps_since = 0
             decisions.append((SOLVER, trigger, accepted.iterations))
         solutions.append(accepted)

@@ -219,6 +219,7 @@ def test_criterion_7_tuning_monotonicity(full_study_parts, settings):
         (tuning.ERROR_GRID, [1e-5], [2, 4, 8, 16, 32]),
         (tuning.STEP_CHANGE, [0.0, 1e-6, 1e-4, 1e-2, 0.5], None),
         (tuning.DISTANCE_PERCENTILE, [0.0, 25.0, 50.0, 75.0, 90.0, 100.0], None),
+        (tuning.MAX_INTERVAL_GROWTH, [1, 2, 4, 8, 16], None),
     ]
     for parameter, values, values2 in grids:
         spec = tuning.SweepSpec(parameter=parameter, values=values, values2=values2)
@@ -227,7 +228,7 @@ def test_criterion_7_tuning_monotonicity(full_study_parts, settings):
         fractions = [r.model_fraction for r in results]
         assert fractions == sorted(fractions), (parameter, fractions)
     print("\nACCEPTANCE 7: PASS - model-use fraction non-decreasing in all "
-          "four gate-threshold grids")
+          "five gate grids")
 
 
 def test_criterion_8_determinism(full_study, tmp_path_factory):
@@ -282,3 +283,53 @@ def test_load_events_within_budget(full_study_parts, settings):
     print(f"\nACCEPTANCE events: PASS - worst accepted error {summary.max_eps_inf:.2e} "
           f"<= {config.error_check_threshold} through a x3 step and a half drop, "
           f"avoided {summary.avoided_solves_fraction:.1%}")
+
+
+DRIFT_SLOT, DRIFT_ROWS = 600, 100  # one 100-row event in each 600-row slot
+DRIFT_OFFSETS = np.random.default_rng(5).integers(0, 400, 8)
+
+
+def drift(series, kind):
+    """The test series with 8 events of `kind` the input gates cannot see, or
+    see only at their edges: Q doubled (a power-factor shift off the trained
+    P-Q plane), every load x5, 10 loads injecting 0.05 pu, and a linear
+    x1 -> x3 ramp over the event rows held to the end of its slot."""
+    P, Q = series.P.copy(), series.Q.copy()
+    for slot, offset in enumerate(DRIFT_OFFSETS.tolist()):
+        lo = slot * DRIFT_SLOT + offset
+        rows = slice(lo, lo + DRIFT_ROWS)
+        if kind == "q_x2":
+            Q[rows] *= 2.0
+        elif kind == "step_x5":
+            P[rows] *= 5.0
+            Q[rows] *= 5.0
+        elif kind == "injection":
+            P[rows, ::3] = -0.05
+            Q[rows, ::3] = 0.0
+        else:  # ramp_x3
+            end = (slot + 1) * DRIFT_SLOT
+            factor = np.concatenate([np.linspace(1.0, 3.0, DRIFT_ROWS),
+                                     np.full(end - lo - DRIFT_ROWS, 3.0)])[:, None]
+            P[lo:end] *= factor
+            Q[lo:end] *= factor
+    return LoadSeries(timestamps=series.timestamps, P=P, Q=Q)
+
+
+@pytest.mark.parametrize("kind", ["q_x2", "step_x5", "injection", "ramp_x3"])
+def test_drift_within_budget(full_study_parts, settings, kind):
+    """The budget holds through drift in the full study's test window, with
+    the fixed staleness interval and with clean audits stretching it 4x."""
+    network, model, _, test_set = full_study_parts
+    events = drift(test_set.series(), kind)
+    truth_solutions = run_pure_solver(network, events, settings)
+    truth = (np.array([s.v for s in truth_solutions]),
+             np.array([s.a for s in truth_solutions]))
+    measured = []
+    for config in (HybridConfig(), HybridConfig(max_interval_growth=4)):
+        _, _, summary = run_series(model, network, events, config, settings,
+                                   ground_truth=truth)
+        assert summary.max_eps_inf <= config.error_check_threshold, (config, summary)
+        measured.append(f"{summary.max_eps_inf:.2e} (avoided "
+                        f"{summary.avoided_solves_fraction:.1%})")
+    print(f"\nACCEPTANCE drift {kind}: PASS - worst accepted error, fixed interval "
+          f"{measured[0]}, growth 4 {measured[1]}")

@@ -86,6 +86,28 @@ def test_simulate_hybrid(workdir, capsys):
     assert (workdir / "out" / "solutions.csv").exists()
 
 
+def test_summary_counts_solves_by_trigger(workdir, tmp_path, capsys):
+    config = workdir / "run.yaml"
+    sim, rep = tmp_path / "sim", tmp_path / "report"
+    assert main(["--config", str(config), "--out", str(sim), "simulate"]) == 0
+    printed = capsys.readouterr().out
+    records = read_records(sim / "records.csv")
+    counts = {}
+    for r in records:
+        if r.decision == "solver":
+            counts[r.triggering_check] = counts.get(r.triggering_check, 0) + 1
+    summary = json.loads((sim / "summary.json").read_text())
+    assert summary["solves_by_trigger"] == counts and counts["forced_first"] == 1
+    line = "solves by trigger:        " + ", ".join(f"{check} {count}" for check, count
+                                                   in sorted(counts.items()))
+    assert line in printed.splitlines()
+    assert main(["--config", str(config), "--out", str(rep), "report", "--records",
+                 str(sim / "records.csv")]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    reported = json.loads((rep / "report_summary.json").read_text())
+    assert reported["solves_by_trigger"] == counts
+
+
 def test_simulate_pure_solver_deterministic(workdir, tmp_path):
     config = workdir / "run.yaml"
     out1 = tmp_path / "p1"
@@ -279,6 +301,8 @@ NEGATIVE_LEVEL_ERROR = "section 'load_spec': base_level must be finite and >= 0,
      "{tmp}/run.yaml:2: invalid YAML: repeated key 'network'"),
     ("network: feeder30", "network: {tmp}/net.yaml", {"net.yaml": REPEATED_LOAD},
      ["simulate"], "{tmp}/net.yaml:3: invalid YAML: repeated key 'load'"),
+    ("max_check_interval: 2", "max_check_interval: 2\n  max_interval_growth: 0", {},
+     ["simulate"], "section 'hybrid': max_interval_growth must be >= 1 or null"),
 ], ids=["interval_not_int", "interval_zero", "threshold_null", "threshold_nan",
         "step_change_negative", "step_change_nan", "distance_negative", "tolerance_nan",
         "intercept_string", "no_n_loads", "yaml_syntax", "surrogate_not_json",
@@ -289,7 +313,7 @@ NEGATIVE_LEVEL_ERROR = "section 'load_spec': base_level must be finite and >= 0,
         "surrogate_seed_negative", "n_clusters_zero", "seed_option_negative",
         "bin_width_tiny", "base_level_negative_train", "base_level_negative_simulate",
         "base_level_negative_tune", "repeated_section_key", "repeated_top_level_key",
-        "repeated_network_key"])
+        "repeated_network_key", "growth_zero"])
 def test_malformed_input_is_one_line_error(workdir, tmp_path, capsys, old, new, files, argv,
                                            named):
     for name, text in files.items():

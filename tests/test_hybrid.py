@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ CONFIGS = st.builds(
     distance_percentile_threshold=st.none() | st.floats(50.0, 100.0))
 
 
+def assert_matches_the_stepwise_loop(network, series, model, config, settings, start):
+    solutions, records, _ = run_series(model, network, series, config, settings,
+                                       start=start)
+    expected, decisions = run_series_stepwise(model, network, series, config, settings,
+                                              start)
+    assert [(r.decision, r.triggering_check, r.solver_iterations)
+            for r in records] == decisions
+    for got, want in zip(solutions, expected, strict=True):
+        assert np.array_equal(got.v, want.v) and np.array_equal(got.a, want.a)
+
+
 @pytest.mark.parametrize("started", [False, True], ids=["flat", "start"])
 @pytest.mark.parametrize("events", [False, True], ids=["slice", "load_events"])
 @hyp_settings(max_examples=15, deadline=None)
@@ -63,14 +75,17 @@ def test_run_series_matches_the_stepwise_loop(feeder30, small_series, small_mode
     # load_events drives the model off its training range: its audits fire error_high
     series = load_events(small_series) if events else small_series.rows(0, 96)
     start = first_row_state(feeder30, series, settings) if started else None
-    solutions, records, _ = run_series(small_model, feeder30, series, config, settings,
-                                       start=start)
-    expected, decisions = run_series_stepwise(small_model, feeder30, series, config,
-                                              settings, start)
-    assert [(r.decision, r.triggering_check, r.solver_iterations)
-            for r in records] == decisions
-    for got, want in zip(solutions, expected, strict=True):
-        assert np.array_equal(got.v, want.v) and np.array_equal(got.a, want.a)
+    assert_matches_the_stepwise_loop(feeder30, series, small_model, config, settings, start)
+
+
+@pytest.mark.parametrize("events", [False, True], ids=["slice", "load_events"])
+@hyp_settings(max_examples=15, deadline=None)
+@given(config=CONFIGS, growth=st.integers(1, 8))
+def test_run_series_with_interval_growth_matches_the_stepwise_loop(
+        feeder30, small_series, small_model, settings, events, config, growth):
+    series = load_events(small_series) if events else small_series.rows(0, 96)
+    config = replace(config, max_interval_growth=growth)
+    assert_matches_the_stepwise_loop(feeder30, series, small_model, config, settings, None)
 
 
 def test_perfect_model_accepts_all_non_forced_steps(net4, settings):
@@ -180,6 +195,7 @@ def test_gate_soundness_replay(feeder30, small_dataset, settings):
 
     stored_error = math.inf
     steps_since = 0
+    correction_v = correction_a = 0.0  # the last solve's solution minus its prediction
     for t, (r, accepted) in enumerate(zip(records, solutions)):
         # each step's prediction on its own, not from the run's batch
         pred = sg.evaluate(model, np.hstack([test_series.P[t:t + 1],
@@ -200,7 +216,9 @@ def test_gate_soundness_replay(feeder30, small_dataset, settings):
             ]
             assert (r.decision == SOLVER) == any(gates)
         if r.decision == SOLVER:
-            stored_error = eps_inf(pred_v, pred_a, accepted.v, accepted.a)
+            stored_error = eps_inf(pred_v + correction_v, pred_a + correction_a,
+                                   accepted.v, accepted.a)
+            correction_v, correction_a = accepted.v - pred_v, accepted.a - pred_a
             steps_since = 0
         else:
             steps_since += 1

@@ -28,6 +28,17 @@ def test_all_solver_run():
     assert summary.mean_solver_iterations == 2.0
 
 
+def test_solves_without_a_trigger_are_not_counted_by_trigger():
+    # `simulate --pure-solver` records name no check
+    records = [record(0, "solver", iters=2), record(1, "solver", iters=2)]
+    records[1].triggering_check = None
+    summary = summarize(records)
+    assert summary.solves_by_trigger == {"error_stale": 1}
+    records[0].triggering_check = None
+    assert summarize(records).solves_by_trigger == {}
+    assert "solves by trigger:        none recorded" in format_summary(summarize(records))
+
+
 def test_all_model_perfect_run():
     records = [record(0, "solver", iters=3)]
     records += [record(t, "model", eps=0.0) for t in range(1, 20)]

@@ -5,9 +5,9 @@ from hybridflow import hybrid
 from hybridflow import surrogate as sg
 from hybridflow.hybrid import run_pure_solver, run_series
 from hybridflow.report import step_errors
-from hybridflow.tuning import (ERROR_GRID, ERROR_THRESHOLD, STEP_CHANGE,
-                               SweepPoint, SweepSpec, TuningError, config_for,
-                               recommend, sweep, write_sweep)
+from hybridflow.tuning import (ERROR_GRID, ERROR_THRESHOLD, MAX_INTERVAL_GROWTH,
+                               STEP_CHANGE, SweepPoint, SweepSpec, TuningError,
+                               config_for, recommend, sweep, write_sweep)
 
 PER_DAY = 96  # the small fixture's 15-minute steps
 
@@ -55,6 +55,26 @@ def test_calibration_days_need_0_le_lo_lt_hi(days):
 def test_2d_grid_rejects_an_interval_that_is_not_a_whole_number(value2):
     with pytest.raises(TuningError, match=rf"grid value {value2!r} is not a whole"):
         SweepSpec(parameter=ERROR_GRID, values=[0.01], values2=[4.0, value2])
+
+
+@pytest.mark.parametrize("value", [2.5, 0.0, -1.0, float("nan")])
+def test_growth_grid_rejects_a_value_that_is_not_a_whole_number(value):
+    with pytest.raises(TuningError, match=rf"max_interval_growth grid value {value!r} "
+                                          rf"is not a whole number >= 1"):
+        SweepSpec(parameter=MAX_INTERVAL_GROWTH, values=[1.0, value])
+
+
+def test_growth_grid_monotone(trained, feeder30, test_slice, settings):
+    spec = SweepSpec(parameter=MAX_INTERVAL_GROWTH, values=[1, 2, 4, 8])
+    results = sweep(spec, trained, feeder30, test_slice.series(), PER_DAY, settings)
+    assert [config_for(spec, r.value).max_interval_growth for r in results] == [1, 2, 4, 8]
+    fractions = [r.model_fraction for r in results]
+    assert fractions == sorted(fractions) and fractions[0] < fractions[-1]
+    # growth 1 caps the interval at its start: the fixed interval's run
+    fixed = sweep(SweepSpec(parameter=STEP_CHANGE, values=[0.2]), trained, feeder30,
+                  test_slice.series(), PER_DAY, settings)[0]
+    assert (results[0].model_fraction, results[0].max_eps) == (fixed.model_fraction,
+                                                             fixed.max_eps)
 
 
 def test_single_point_equals_direct_run(trained, feeder30, test_slice, settings):
